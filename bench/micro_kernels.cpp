@@ -3,18 +3,21 @@
 // interpreter, texture fetches, and the cache model. These quantify the
 // host-side cost of simulation, not the modeled GPU time.
 //
-// The custom main() additionally times the three device execution engines
-// head to head on the pipeline's heaviest shaders (the fused SID
-// cumulative-distance kernel and the MEI kernel) and, with `--json <path>`,
-// writes wall and modeled times plus the speedups to
-// BENCH_micro_kernels.json.
+// The custom main() additionally checks the two device execution engines
+// for bit-identity and times them head to head on the pipeline's heaviest
+// shaders (the fused SID cumulative-distance kernel and the MEI kernel)
+// and, with `--json <path>`, writes wall and modeled times plus the
+// speedup to BENCH_micro_kernels.json. It exits non-zero when the engines
+// disagree.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <iostream>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -152,7 +155,7 @@ void BM_DevicePass(benchmark::State& state) {
   profile.fragment_pipes = 4;
   gpusim::SimConfig config;
   config.exec_engine = state.range(0) == 0 ? gpusim::ExecEngine::Interpreter
-                                           : gpusim::ExecEngine::Compiled;
+                                           : gpusim::ExecEngine::Soa;
   gpusim::Device dev(profile, config);
   const auto in = dev.create_texture(64, 64, gpusim::TextureFormat::RGBA32F);
   const auto out = dev.create_texture(64, 64, gpusim::TextureFormat::RGBA32F);
@@ -167,7 +170,7 @@ void BM_DevicePass(benchmark::State& state) {
     benchmark::DoNotOptimize(dev.draw(program, ins, {}, outs));
   }
   state.SetItemsProcessed(state.iterations() * 64 * 64);
-  state.SetLabel(state.range(0) == 0 ? "interpreter" : "compiled");
+  state.SetLabel(state.range(0) == 0 ? "interpreter" : "soa");
 }
 BENCHMARK(BM_DevicePass)->Arg(0)->Arg(1);
 
@@ -226,106 +229,125 @@ BENCHMARK(BM_HalfQuantize);
 
 // ---- execution-engine head-to-head -----------------------------------------
 //
-// Times the interpreter, the compiled engine and the SoA engine on the
-// pipeline's two heaviest shaders over a 256x256 viewport (the scale of
-// one AMC chunk slice). All engines produce bit-identical results; this
-// measures pure host-side simulation throughput.
+// Runs the interpreter and the SoA engine on the pipeline's two heaviest
+// shaders over a 256x256 viewport (the scale of one AMC chunk slice),
+// checks that output texels and pass statistics are bit-identical, then
+// times both. This measures pure host-side simulation throughput.
 //
-// Engine-vs-engine speedups (`speedup_soa_vs_compiled`) are measured with
-// the texture-cache model off: cache replay is a shared bit-exactness
-// contract -- both engines must walk the identical canonical probe
-// sequence, so its cost is common by construction and dilutes any
-// engine-side win. The cache-on wall times are recorded alongside so the
-// full-model cost is visible too.
+// The SoA engine is also timed with the texture-cache model off: cache
+// replay walks the interpreter's canonical probe sequence, so the
+// cache-on and cache-off times together show how much of a pass is
+// replay.
 
 struct EngineTiming {
   double interp_seconds = 0;
-  double compiled_seconds = 0;
   double soa_seconds = 0;
-  double compiled_nocache_seconds = 0;
   double soa_nocache_seconds = 0;
-  double modeled_seconds = 0;  ///< identical for all engines
+  double modeled_seconds = 0;  ///< identical for both engines
+  bool identical = false;      ///< texels and PassStats bit-equal
 
   double speedup() const {
-    return compiled_seconds > 0 ? interp_seconds / compiled_seconds : 0;
-  }
-  double speedup_soa_vs_compiled() const {
-    return soa_nocache_seconds > 0
-               ? compiled_nocache_seconds / soa_nocache_seconds
-               : 0;
+    return soa_seconds > 0 ? interp_seconds / soa_seconds : 0;
   }
 };
+
+/// One pass's observable result: the raw output texels and statistics.
+struct PassOutcome {
+  std::vector<float> texels;
+  gpusim::PassStats stats;
+  double seconds = 0;  ///< best-of-reps wall time
+};
+
+bool same_outcome(const PassOutcome& a, const PassOutcome& b) {
+  const gpusim::PassStats& x = a.stats;
+  const gpusim::PassStats& y = b.stats;
+  return a.texels.size() == b.texels.size() &&
+         std::memcmp(a.texels.data(), b.texels.data(),
+                     a.texels.size() * sizeof(float)) == 0 &&
+         x.fragments == y.fragments &&
+         x.exec.alu_instructions == y.exec.alu_instructions &&
+         x.exec.tex_fetches == y.exec.tex_fetches &&
+         x.exec.tex_fetch_bytes == y.exec.tex_fetch_bytes &&
+         x.cache.accesses == y.cache.accesses && x.cache.hits == y.cache.hits &&
+         x.cache.misses == y.cache.misses &&
+         x.cache_miss_bytes == y.cache_miss_bytes &&
+         x.unique_tile_bytes == y.unique_tile_bytes &&
+         x.bytes_written == y.bytes_written &&
+         x.modeled_seconds == y.modeled_seconds;
+}
+
+PassOutcome run_engine(gpusim::ExecEngine engine, bool texture_cache,
+                       const gpusim::FragmentProgram& program,
+                       const std::vector<gpusim::TextureFormat>& in_formats,
+                       std::span<const gpusim::float4> constants, int size,
+                       int reps) {
+  gpusim::DeviceProfile profile = gpusim::geforce_7800_gtx();
+  profile.fragment_pipes = 4;
+  gpusim::SimConfig config;
+  config.exec_engine = engine;
+  config.texture_cache = texture_cache;
+  gpusim::Device dev(profile, config);
+
+  util::Xoshiro256 rng(11);
+  std::vector<gpusim::TextureHandle> ins;
+  for (gpusim::TextureFormat fmt : in_formats) {
+    const auto h = dev.create_texture(size, size, fmt);
+    if (gpusim::channels_of(fmt) == 4) {
+      std::vector<gpusim::float4> data(static_cast<std::size_t>(size) * size);
+      for (auto& v : data) {
+        v = {static_cast<float>(rng.uniform(0.05, 1.0)),
+             static_cast<float>(rng.uniform(0.05, 1.0)),
+             static_cast<float>(rng.uniform(0.05, 1.0)),
+             static_cast<float>(rng.uniform(0.05, 1.0))};
+      }
+      dev.upload(h, data);
+    } else {
+      std::vector<float> data(static_cast<std::size_t>(size) * size);
+      for (auto& v : data) v = static_cast<float>(rng.uniform(0.05, 1.0));
+      dev.upload(h, data);
+    }
+    ins.push_back(h);
+  }
+  const auto out = dev.create_texture(size, size, gpusim::TextureFormat::R32F);
+  const gpusim::TextureHandle outs[1] = {out};
+
+  PassOutcome outcome;
+  outcome.stats = dev.draw(program, ins, constants, outs);  // warm-up (and lower)
+  outcome.texels = dev.texture(out).raw();
+  // Best-of-reps: a loaded machine only ever inflates a wall-clock
+  // sample, so the minimum is the most repeatable throughput estimate
+  // (and treats both engines alike).
+  outcome.seconds = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    util::Timer wall;
+    (void)dev.draw(program, ins, constants, outs);
+    outcome.seconds = std::min(outcome.seconds, wall.seconds());
+  }
+  return outcome;
+}
 
 EngineTiming time_engines(const gpusim::FragmentProgram& program,
                           const std::vector<gpusim::TextureFormat>& in_formats,
                           std::span<const gpusim::float4> constants, int size,
                           int reps) {
-  struct Variant {
-    gpusim::ExecEngine engine;
-    bool texture_cache;
-    double EngineTiming::* slot;
-  };
-  const Variant variants[] = {
-      {gpusim::ExecEngine::Interpreter, true, &EngineTiming::interp_seconds},
-      {gpusim::ExecEngine::Compiled, true, &EngineTiming::compiled_seconds},
-      {gpusim::ExecEngine::Soa, true, &EngineTiming::soa_seconds},
-      {gpusim::ExecEngine::Compiled, false,
-       &EngineTiming::compiled_nocache_seconds},
-      {gpusim::ExecEngine::Soa, false, &EngineTiming::soa_nocache_seconds},
-  };
+  using gpusim::ExecEngine;
+  const PassOutcome interp = run_engine(ExecEngine::Interpreter, true, program,
+                                        in_formats, constants, size, reps);
+  const PassOutcome soa = run_engine(ExecEngine::Soa, true, program,
+                                     in_formats, constants, size, reps);
+  const PassOutcome soa_nocache = run_engine(ExecEngine::Soa, false, program,
+                                             in_formats, constants, size, reps);
   EngineTiming timing;
-  for (const Variant& variant : variants) {
-    gpusim::DeviceProfile profile = gpusim::geforce_7800_gtx();
-    profile.fragment_pipes = 4;
-    gpusim::SimConfig config;
-    config.exec_engine = variant.engine;
-    config.texture_cache = variant.texture_cache;
-    gpusim::Device dev(profile, config);
-
-    util::Xoshiro256 rng(11);
-    std::vector<gpusim::TextureHandle> ins;
-    for (gpusim::TextureFormat fmt : in_formats) {
-      const auto h = dev.create_texture(size, size, fmt);
-      if (gpusim::channels_of(fmt) == 4) {
-        std::vector<gpusim::float4> data(static_cast<std::size_t>(size) * size);
-        for (auto& v : data) {
-          v = {static_cast<float>(rng.uniform(0.05, 1.0)),
-               static_cast<float>(rng.uniform(0.05, 1.0)),
-               static_cast<float>(rng.uniform(0.05, 1.0)),
-               static_cast<float>(rng.uniform(0.05, 1.0))};
-        }
-        dev.upload(h, data);
-      } else {
-        std::vector<float> data(static_cast<std::size_t>(size) * size);
-        for (auto& v : data) v = static_cast<float>(rng.uniform(0.05, 1.0));
-        dev.upload(h, data);
-      }
-      ins.push_back(h);
-    }
-    const auto out = dev.create_texture(size, size, gpusim::TextureFormat::R32F);
-    const gpusim::TextureHandle outs[1] = {out};
-
-    double modeled = 0;
-    (void)dev.draw(program, ins, constants, outs);  // warm-up (and compile)
-    // Best-of-reps: a loaded machine only ever inflates a wall-clock
-    // sample, so the minimum is the most repeatable throughput estimate
-    // (and treats every engine alike).
-    double seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < reps; ++r) {
-      util::Timer wall;
-      modeled += dev.draw(program, ins, constants, outs).modeled_seconds;
-      seconds = std::min(seconds, wall.seconds());
-    }
-    timing.*variant.slot = seconds;
-    if (variant.engine == gpusim::ExecEngine::Compiled &&
-        variant.texture_cache) {
-      timing.modeled_seconds = modeled / reps;
-    }
-  }
+  timing.interp_seconds = interp.seconds;
+  timing.soa_seconds = soa.seconds;
+  timing.soa_nocache_seconds = soa_nocache.seconds;
+  timing.modeled_seconds = interp.stats.modeled_seconds;
+  timing.identical = same_outcome(interp, soa);
   return timing;
 }
 
-void run_engine_comparison(const std::string& json_path) {
+/// Returns false when an engine pair disagreed.
+bool run_engine_comparison(const std::string& json_path) {
   constexpr int kSize = 256;
   constexpr int kReps = 10;
   constexpr int kNeighbors = 9;
@@ -348,40 +370,44 @@ void run_engine_comparison(const std::string& json_path) {
   const EngineTiming t_mei = time_engines(
       mei, {TF::RGBA32F, TF::RGBA32F, TF::RGBA32F, TF::R32F}, {}, kSize, kReps);
 
-  util::Table table(
-      {"Shader", "interpreter", "compiled", "soa", "interp/compiled",
-       "soa vs compiled (engine)"});
+  util::Table table({"Shader", "interpreter", "soa", "soa (cache off)",
+                     "interp/soa", "bit-identical"});
   auto add_row = [&table](const std::string& name, const EngineTiming& t) {
     table.add_row({name, util::format_duration(t.interp_seconds),
-                   util::format_duration(t.compiled_seconds),
                    util::format_duration(t.soa_seconds),
+                   util::format_duration(t.soa_nocache_seconds),
                    util::Table::num(t.speedup(), 2) + "x",
-                   util::Table::num(t.speedup_soa_vs_compiled(), 2) + "x"});
+                   t.identical ? "yes" : "NO"});
   };
   add_row("SID cumdist (9 nbrs)", t_sid);
   add_row("MEI", t_mei);
   std::cout << "\n";
   table.print(std::cout,
-              "Execution engines, 256x256 pass wall time (bit-identical "
-              "results; engine speedup measured with the cache model off)");
+              "Execution engines, 256x256 pass wall time (best of " +
+                  std::to_string(kReps) + ")");
 
   if (!json_path.empty()) {
     bench::JsonReport report("micro_kernels");
     auto emit = [&report](const std::string& bench, const EngineTiming& t) {
       report.add(bench, "wall_seconds_interpreter", t.interp_seconds);
-      report.add(bench, "wall_seconds_compiled", t.compiled_seconds);
       report.add(bench, "wall_seconds_soa", t.soa_seconds);
-      report.add(bench, "wall_seconds_compiled_nocache",
-                 t.compiled_nocache_seconds);
       report.add(bench, "wall_seconds_soa_nocache", t.soa_nocache_seconds);
       report.add(bench, "speedup", t.speedup());
-      report.add(bench, "speedup_soa_vs_compiled", t.speedup_soa_vs_compiled());
+      report.add(bench, "bit_identical", t.identical ? 1 : 0);
       report.add(bench, "modeled_seconds", t.modeled_seconds);
+      // Pipes run on host threads, so wall times depend on the CPU count.
+      report.add(bench, "host_cpus",
+                 static_cast<double>(std::thread::hardware_concurrency()));
     };
     emit("device_pass_sid", t_sid);
     emit("device_pass_mei", t_mei);
     report.write(json_path);
   }
+  if (!t_sid.identical || !t_mei.identical) {
+    std::cerr << "micro_kernels: interpreter and soa engines disagree\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -392,6 +418,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_engine_comparison(json_path);
-  return 0;
+  return run_engine_comparison(json_path) ? 0 : 1;
 }

@@ -127,7 +127,7 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
   }
 
   // The cumulative-distance shader is specialized per (dx, dy) constant
-  // pair under the compiled engine, so the device's program cache must
+  // pair by the SoA engine's lowering, so the device's program cache must
   // hold the fixed programs plus one entry per SE neighbor or the
   // per-chunk redraw loop would thrash it.
   gpusim::SimConfig sim = options.sim;

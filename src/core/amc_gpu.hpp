@@ -34,8 +34,8 @@ class PipelineCancelled : public std::runtime_error {
 struct AmcGpuOptions {
   gpusim::DeviceProfile profile = gpusim::geforce_7800_gtx();
   /// Simulator knobs. `sim.exec_engine` picks the fragment engine
-  /// (interpreter reference, compiled fast path, or the SoA SIMD engine);
-  /// results, counters and modeled times are bit-identical in every case.
+  /// (the SoA SIMD engine by default, or the interpreter reference);
+  /// results, counters and modeled times are bit-identical either way.
   gpusim::SimConfig sim;
 
   /// true: one cumulative-distance pass per band group covering all SE

@@ -1,18 +1,14 @@
 #include "gpusim/compiled_program.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
 #include <type_traits>
 
+#include "gpusim/soa_program.hpp"
 #include "util/assert.hpp"
 
 namespace hs::gpusim {
 
 namespace {
-
-constexpr int kTile = kExecTileWidth;
 
 float4 fold_swizzle_negate(float4 v, const Swizzle& s, bool negate) {
   float4 out{v[s.comp[0]], v[s.comp[1]], v[s.comp[2]], v[s.comp[3]]};
@@ -88,6 +84,15 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+/// Both lowering stages: the executable plan for one specialization.
+std::shared_ptr<const SoaProgram> lower(
+    const FragmentProgram& program, std::span<const float4> constants,
+    std::span<const Texture2D* const> textures) {
+  return std::make_shared<const SoaProgram>(lower_soa(
+      std::make_shared<const CompiledProgram>(
+          compile_program(program, constants, textures))));
 }
 
 }  // namespace
@@ -296,7 +301,7 @@ SharedProgramStore::SharedProgramStore(std::size_t capacity)
       trace_misses_(&trace::counter("cache.programs.miss")),
       trace_evictions_(&trace::counter("cache.programs.evict")) {}
 
-std::shared_ptr<const CompiledProgram> SharedProgramStore::get_or_compile(
+std::shared_ptr<const SoaProgram> SharedProgramStore::get_or_compile(
     const FragmentProgram& program, std::span<const float4> constants,
     std::span<const Texture2D* const> textures) {
   std::vector<std::uint8_t> key = make_key(program, constants, textures);
@@ -324,10 +329,9 @@ std::shared_ptr<const CompiledProgram> SharedProgramStore::get_or_compile(
   e.hash = hash;
   e.key = std::move(key);
   e.stamp = ++stamp_;
-  // Compiling under the lock serializes rare cold misses but guarantees
+  // Lowering under the lock serializes rare cold misses but guarantees
   // each distinct binding is lowered exactly once per store.
-  e.program = std::make_shared<const CompiledProgram>(
-      compile_program(program, constants, textures));
+  e.program = lower(program, constants, textures);
   entries_.push_back(std::move(e));
   return entries_.back().program;
 }
@@ -347,13 +351,7 @@ ProgramCache::ProgramCache(std::size_t capacity)
       trace_misses_(&trace::counter("gpusim.program_cache.miss")),
       trace_evictions_(&trace::counter("gpusim.program_cache.evict")) {}
 
-const CompiledProgram& ProgramCache::get(
-    const FragmentProgram& program, std::span<const float4> constants,
-    std::span<const Texture2D* const> textures) {
-  return *get_shared(program, constants, textures);
-}
-
-std::shared_ptr<const CompiledProgram> ProgramCache::get_shared(
+std::shared_ptr<const SoaProgram> ProgramCache::get(
     const FragmentProgram& program, std::span<const float4> constants,
     std::span<const Texture2D* const> textures) {
   std::vector<std::uint8_t> key = make_key(program, constants, textures);
@@ -382,576 +380,9 @@ std::shared_ptr<const CompiledProgram> ProgramCache::get_shared(
   e.stamp = ++stamp_;
   e.program = shared_store_
                   ? shared_store_->get_or_compile(program, constants, textures)
-                  : std::make_shared<const CompiledProgram>(
-                        compile_program(program, constants, textures));
+                  : lower(program, constants, textures);
   entries_.push_back(std::move(e));
   return entries_.back().program;
-}
-
-// ---- tile executor ---------------------------------------------------------
-
-namespace {
-
-/// Per-pipe working set, allocated once per pass slice. All register and
-/// attribute storage is SoA: row(reg, comp) is a contiguous kTile-float
-/// lane array, so a swizzled operand read is just a different row pointer
-/// and the per-op lane loops vectorize.
-struct Scratch {
-  std::vector<float> temps;   // kMaxTemps x 4 rows
-  std::vector<float> tcs;     // kMaxTexCoords x 4 rows
-  std::vector<float> outs;    // kMaxOutputs x 4 rows
-  std::vector<float> imms;    // imm_count x 4 rows, broadcast once
-  std::vector<float> neg;     // 3 operands x 4 rows of negate staging
-  std::vector<float> dstage;  // 4 rows of alias-hazard staging
-  std::vector<float> srow;    // scalar/dot result row
-  /// A resolved texel index, or x == kFetchSkip for a border-color fetch
-  /// (ClampToBorder out of range), which the replay must not count. Real
-  /// resolved coordinates are wrapped in-range and never negative, so the
-  /// sentinel cannot collide.
-  struct Fetch {
-    std::int32_t x = 0;
-    std::int32_t y = 0;
-  };
-  static constexpr std::int32_t kFetchSkip =
-      std::numeric_limits<std::int32_t>::min();
-  std::vector<Fetch> fetches;  // tex_per_fragment x kTile, program order
-  /// Per fetch slot: 1 when the tile took the fullscreen fast path, whose
-  /// coordinates are simply (x0 + lane, y) and are never written to
-  /// `fetches`; the replay synthesizes them instead.
-  std::vector<std::uint8_t> fullrow;  // tex_per_fragment
-  /// Cache-line tags of one tile's fetches in fragment-major replay order,
-  /// built by replay_fetches() and probed in one batch.
-  std::vector<std::uint64_t> tag_buf;  // tex_per_fragment x kTile
-
-  void init(const CompiledProgram& cp) {
-    temps.resize(static_cast<std::size_t>(kMaxTemps) * 4 * kTile);
-    tcs.assign(static_cast<std::size_t>(kMaxTexCoords) * 4 * kTile, 0.f);
-    outs.assign(static_cast<std::size_t>(kMaxOutputs) * 4 * kTile, 0.f);
-    imms.resize(static_cast<std::size_t>(cp.imm_count) * 4 * kTile);
-    neg.resize(3 * 4 * kTile);
-    dstage.resize(4 * kTile);
-    srow.resize(kTile);
-    fetches.resize(cp.tex_unit_of_fetch.size() * kTile);
-    fullrow.assign(cp.tex_unit_of_fetch.size(), 0);
-    tag_buf.resize(cp.tex_unit_of_fetch.size() * kTile);
-    for (const CompiledIns& ci : cp.code) {
-      for (int s = 0; s < ci.src_count; ++s) {
-        const CompiledSrc& cs = ci.src[static_cast<std::size_t>(s)];
-        if (cs.kind != CompiledSrc::Kind::Imm) continue;
-        for (int c = 0; c < 4; ++c) {
-          float* row = &imms[(static_cast<std::size_t>(cs.imm_slot) * 4 +
-                              static_cast<std::size_t>(c)) *
-                             kTile];
-          std::fill(row, row + kTile, cs.imm[static_cast<std::size_t>(c)]);
-        }
-      }
-    }
-  }
-
-  float* temp_row(int reg, int comp) {
-    return &temps[(static_cast<std::size_t>(reg) * 4 +
-                   static_cast<std::size_t>(comp)) *
-                  kTile];
-  }
-  float* tc_row(int attr, int comp) {
-    return &tcs[(static_cast<std::size_t>(attr) * 4 +
-                 static_cast<std::size_t>(comp)) *
-                kTile];
-  }
-  float* out_row(int out, int comp) {
-    return &outs[(static_cast<std::size_t>(out) * 4 +
-                  static_cast<std::size_t>(comp)) *
-                 kTile];
-  }
-};
-
-/// Row holding source lanes that feed destination component `c` (or slot
-/// `c` of a dot/scalar/TEX read). Negated operands are staged.
-const float* src_row(const CompiledSrc& s, int c, Scratch& sc, int lanes,
-                     int operand) {
-  if (s.kind == CompiledSrc::Kind::Imm) {
-    return &sc.imms[(static_cast<std::size_t>(s.imm_slot) * 4 +
-                     static_cast<std::size_t>(c)) *
-                    kTile];
-  }
-  const int comp = s.swz[static_cast<std::size_t>(c)];
-  const float* base = s.kind == CompiledSrc::Kind::Temp
-                          ? sc.temp_row(s.index, comp)
-                          : sc.tc_row(s.index, comp);
-  if (!s.negate) return base;
-  float* stage =
-      &sc.neg[(static_cast<std::size_t>(operand) * 4 +
-               static_cast<std::size_t>(c)) *
-              kTile];
-  for (int l = 0; l < lanes; ++l) stage[l] = -base[l];
-  return stage;
-}
-
-float* dst_row(const CompiledIns& ci, int c, Scratch& sc) {
-  return ci.dst_is_output ? sc.out_row(ci.dst_index, c)
-                          : sc.temp_row(ci.dst_index, c);
-}
-
-void exec_componentwise(const CompiledIns& ci, Scratch& sc, int lanes) {
-  for (int c = 0; c < 4; ++c) {
-    if (!(ci.write_mask & (1u << c))) continue;
-    float* d = ci.alias_hazard ? &sc.dstage[static_cast<std::size_t>(c) * kTile]
-                               : dst_row(ci, c, sc);
-    const float* a = src_row(ci.src[0], c, sc, lanes, 0);
-    switch (ci.op) {
-      case Opcode::MOV:
-        std::copy(a, a + lanes, d);
-        break;
-      case Opcode::ABS:
-        for (int l = 0; l < lanes; ++l) d[l] = std::fabs(a[l]);
-        break;
-      case Opcode::FLR:
-        for (int l = 0; l < lanes; ++l) d[l] = std::floor(a[l]);
-        break;
-      case Opcode::FRC:
-        for (int l = 0; l < lanes; ++l) d[l] = a[l] - std::floor(a[l]);
-        break;
-      case Opcode::ADD: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        for (int l = 0; l < lanes; ++l) d[l] = a[l] + b[l];
-        break;
-      }
-      case Opcode::SUB: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        for (int l = 0; l < lanes; ++l) d[l] = a[l] - b[l];
-        break;
-      }
-      case Opcode::MUL: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        for (int l = 0; l < lanes; ++l) d[l] = a[l] * b[l];
-        break;
-      }
-      case Opcode::MIN: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        for (int l = 0; l < lanes; ++l) d[l] = std::min(a[l], b[l]);
-        break;
-      }
-      case Opcode::MAX: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        for (int l = 0; l < lanes; ++l) d[l] = std::max(a[l], b[l]);
-        break;
-      }
-      case Opcode::SLT: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        for (int l = 0; l < lanes; ++l) d[l] = a[l] < b[l] ? 1.f : 0.f;
-        break;
-      }
-      case Opcode::SGE: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        for (int l = 0; l < lanes; ++l) d[l] = a[l] >= b[l] ? 1.f : 0.f;
-        break;
-      }
-      case Opcode::MAD: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        const float* e = src_row(ci.src[2], c, sc, lanes, 2);
-        for (int l = 0; l < lanes; ++l) d[l] = a[l] * b[l] + e[l];
-        break;
-      }
-      case Opcode::CMP: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        const float* e = src_row(ci.src[2], c, sc, lanes, 2);
-        for (int l = 0; l < lanes; ++l) d[l] = a[l] < 0.f ? b[l] : e[l];
-        break;
-      }
-      case Opcode::LRP: {
-        const float* b = src_row(ci.src[1], c, sc, lanes, 1);
-        const float* e = src_row(ci.src[2], c, sc, lanes, 2);
-        for (int l = 0; l < lanes; ++l) {
-          d[l] = a[l] * b[l] + (1.f - a[l]) * e[l];
-        }
-        break;
-      }
-      default:
-        HS_DEBUG_ASSERT(false);
-        break;
-    }
-  }
-  if (ci.alias_hazard) {
-    for (int c = 0; c < 4; ++c) {
-      if (!(ci.write_mask & (1u << c))) continue;
-      const float* s = &sc.dstage[static_cast<std::size_t>(c) * kTile];
-      std::copy(s, s + lanes, dst_row(ci, c, sc));
-    }
-  }
-}
-
-void exec_scalar_or_dot(const CompiledIns& ci, Scratch& sc, int lanes) {
-  float* r = sc.srow.data();
-  if (ci.op == Opcode::DP3 || ci.op == Opcode::DP4) {
-    const float* a0 = src_row(ci.src[0], 0, sc, lanes, 0);
-    const float* a1 = src_row(ci.src[0], 1, sc, lanes, 0);
-    const float* a2 = src_row(ci.src[0], 2, sc, lanes, 0);
-    const float* b0 = src_row(ci.src[1], 0, sc, lanes, 1);
-    const float* b1 = src_row(ci.src[1], 1, sc, lanes, 1);
-    const float* b2 = src_row(ci.src[1], 2, sc, lanes, 1);
-    // Negate staging of a 4-lane operand reuses the same stage rows per
-    // component slot, so slots 0..2 above stay valid while slot 3 stages.
-    if (ci.op == Opcode::DP3) {
-      for (int l = 0; l < lanes; ++l) {
-        r[l] = a0[l] * b0[l] + a1[l] * b1[l] + a2[l] * b2[l];
-      }
-    } else {
-      const float* a3 = src_row(ci.src[0], 3, sc, lanes, 0);
-      const float* b3 = src_row(ci.src[1], 3, sc, lanes, 1);
-      for (int l = 0; l < lanes; ++l) {
-        r[l] = a0[l] * b0[l] + a1[l] * b1[l] + a2[l] * b2[l] + a3[l] * b3[l];
-      }
-    }
-  } else {
-    const float* a = src_row(ci.src[0], 0, sc, lanes, 0);
-    switch (ci.op) {
-      case Opcode::RCP:
-        for (int l = 0; l < lanes; ++l) r[l] = hw_rcp(a[l]);
-        break;
-      case Opcode::RSQ:
-        for (int l = 0; l < lanes; ++l) r[l] = hw_rsq(a[l]);
-        break;
-      case Opcode::LG2:
-        for (int l = 0; l < lanes; ++l) r[l] = hw_lg2(a[l]);
-        break;
-      case Opcode::EX2:
-        for (int l = 0; l < lanes; ++l) r[l] = hw_ex2(a[l]);
-        break;
-      default:
-        HS_DEBUG_ASSERT(false);
-        break;
-    }
-  }
-  // Broadcast the scalar row into the write-enabled components. Sources
-  // were fully consumed above, so in-place destinations are safe.
-  for (int c = 0; c < 4; ++c) {
-    if (ci.write_mask & (1u << c)) {
-      std::copy(r, r + lanes, dst_row(ci, c, sc));
-    }
-  }
-}
-
-void exec_tex(const CompiledIns& ci, const CompiledBindings& b, Scratch& sc,
-              int lanes, bool fullscreen, int x0, int y, bool record) {
-  const Texture2D* tex = b.textures[ci.tex_unit];
-  Scratch::Fetch* rec =
-      record ? &sc.fetches[static_cast<std::size_t>(ci.tex_slot) * kTile]
-             : nullptr;
-  const CompiledSrc& cs = ci.src[0];
-
-  // Fullscreen fast path: texcoord[0] is the fragment's own texel center,
-  // so floor(coordinate) is the pixel index itself -- when the whole tile
-  // row is inside the texture, every address mode is the identity and the
-  // fetch is a strided row copy.
-  if (fullscreen && cs.kind == CompiledSrc::Kind::TexCoord && cs.index == 0 &&
-      cs.swz[0] == 0 && cs.swz[1] == 1 && !cs.negate && y < tex->height() &&
-      x0 + lanes <= tex->width()) {
-    const float* data = tex->raw().data();
-    const std::size_t base = static_cast<std::size_t>(y) *
-                                 static_cast<std::size_t>(tex->width()) +
-                             static_cast<std::size_t>(x0);
-    if (channels_of(tex->format()) == 4) {
-      const float* texels = data + base * 4;
-      for (int c = 0; c < 4; ++c) {
-        if (!(ci.write_mask & (1u << c))) continue;
-        float* d = dst_row(ci, c, sc);
-        for (int l = 0; l < lanes; ++l) d[l] = texels[l * 4 + c];
-      }
-    } else {
-      for (int c = 0; c < 4; ++c) {
-        if (!(ci.write_mask & (1u << c))) continue;
-        float* d = dst_row(ci, c, sc);
-        if (c == 0) {
-          std::copy(data + base, data + base + lanes, d);
-        } else {
-          std::fill(d, d + lanes, 0.f);
-        }
-      }
-    }
-    // The resolved coordinates here are (x0 + lane, y) by construction;
-    // flag the slot instead of materializing per-lane records and let the
-    // replay synthesize them.
-    if (record) sc.fullrow[static_cast<std::size_t>(ci.tex_slot)] = 1;
-    return;
-  }
-
-  float* d[4] = {nullptr, nullptr, nullptr, nullptr};
-  for (int c = 0; c < 4; ++c) {
-    if (ci.write_mask & (1u << c)) d[c] = dst_row(ci, c, sc);
-  }
-
-  // Resolve-reuse path: an earlier fetch slot already resolved these exact
-  // coordinates against the same texture geometry; read its records instead
-  // of re-running floor/wrap per lane. Only available when records are kept.
-  // (The owner cannot have taken the fullscreen fast path here: the reuse
-  // link requires an identical coordinate descriptor and texture geometry,
-  // so this instruction would have satisfied the fast-path test above too.)
-  // The replay reads the owner's records directly via tex_reuse_of_fetch,
-  // so nothing is copied into this slot's record row.
-  if (ci.resolve_reuse >= 0 && record) {
-    const Scratch::Fetch* shared =
-        &sc.fetches[static_cast<std::size_t>(ci.resolve_reuse) * kTile];
-    for (int l = 0; l < lanes; ++l) {
-      const Scratch::Fetch f = shared[l];
-      const float4 v = f.x != Scratch::kFetchSkip ? tex->load(f.x, f.y)
-                                                  : tex->border_color();
-      if (d[0]) d[0][l] = v.x;
-      if (d[1]) d[1][l] = v.y;
-      if (d[2]) d[2][l] = v.z;
-      if (d[3]) d[3][l] = v.w;
-    }
-    return;
-  }
-
-  const float* sx = src_row(cs, 0, sc, lanes, 0);
-  const float* sy = src_row(cs, 1, sc, lanes, 0);
-  for (int l = 0; l < lanes; ++l) {
-    int tx, ty;
-    const bool ok = tex->resolve(sx[l], sy[l], tx, ty);
-    const float4 v = ok ? tex->load(tx, ty) : tex->border_color();
-    if (d[0]) d[0][l] = v.x;
-    if (d[1]) d[1][l] = v.y;
-    if (d[2]) d[2][l] = v.z;
-    if (d[3]) d[3][l] = v.w;
-    if (rec) rec[l] = ok ? Scratch::Fetch{tx, ty} : Scratch::Fetch{Scratch::kFetchSkip, 0};
-  }
-}
-
-void exec_tile(const CompiledProgram& cp, const CompiledBindings& b,
-               Scratch& sc, int lanes, bool fullscreen, int x0, int y,
-               bool record) {
-  // Edge tiles can fall off the fast path, so the flags are per tile.
-  if (record) std::fill(sc.fullrow.begin(), sc.fullrow.end(), 0);
-  for (const CompiledIns& ci : cp.code) {
-    if (ci.op == Opcode::TEX) {
-      exec_tex(ci, b, sc, lanes, fullscreen, x0, y, record);
-    } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
-               ci.op == Opcode::DP4) {
-      exec_scalar_or_dot(ci, sc, lanes);
-    } else {
-      exec_componentwise(ci, sc, lanes);
-    }
-  }
-}
-
-/// Replays the tile's texture fetches against the cache model and the
-/// tile-touch tracker in the interpreter's order: fragment-major, TEX
-/// instructions in program order within each fragment. This keeps LRU
-/// hit/miss statistics bit-identical to per-fragment execution.
-void replay_fetches(const CompiledProgram& cp, const CompiledBindings& b,
-                    Scratch& sc, int lanes, int x0, int y) {
-  const std::size_t n_fetch = cp.tex_unit_of_fetch.size();
-  if (n_fetch == 0) return;
-  // The cache-tag id, the record row, and the tracker bitmap of a fetch
-  // slot are tile-invariant; hoist their lookups out of the fragment-major
-  // loop. Reuse slots point at the owner's record row; fast-path slots
-  // carry no records at all -- their coordinates are (x0 + lane, y).
-  struct Slot {
-    const Scratch::Fetch* rec;  ///< owner's record row (fullrow: unwritten)
-    std::uint64_t tag_hi;       ///< texture id pre-shifted into the tag
-    std::uint64_t row_tag;      ///< fullrow only: tag_hi | tile row of y
-    std::uint8_t* bitmap;       ///< null when this slot's tracker is disabled
-    std::size_t pitch;
-    std::uint32_t id;
-    std::uint8_t unit;
-    std::uint8_t fullrow;
-  };
-  Slot slots[kMaxInstructions];
-  const bool track_fast = b.tiles != nullptr && b.tiles->tile_size == 4;
-  TextureCache* const cache = b.cache;
-  const int ts = cache != nullptr ? cache->tile_shift() : -1;
-  for (std::size_t t = 0; t < n_fetch; ++t) {
-    Slot& s = slots[t];
-    s.unit = cp.tex_unit_of_fetch[t];
-    s.id = s.unit < b.texture_ids.size() ? b.texture_ids[s.unit] : s.unit;
-    s.tag_hi = static_cast<std::uint64_t>(s.id) << 48;
-    s.row_tag =
-        ts >= 0 ? s.tag_hi | (static_cast<std::uint64_t>(
-                                  static_cast<std::uint32_t>(y) >> ts)
-                              << 24)
-                : 0;
-    // A reuse slot and its owner resolve identically, so the owner's
-    // records (or its fullscreen fast-path flag) stand in for both.
-    const std::int16_t owner = cp.tex_reuse_of_fetch[t];
-    const std::size_t own = owner >= 0 ? static_cast<std::size_t>(owner) : t;
-    s.rec = sc.fetches.data() + own * kTile;
-    s.fullrow = sc.fullrow[own];
-    s.bitmap = nullptr;
-    s.pitch = 0;
-    if (track_fast && s.unit < b.tiles->units.size() &&
-        !b.tiles->units[s.unit].empty()) {
-      s.bitmap = b.tiles->units[s.unit].data();
-      s.pitch = static_cast<std::size_t>(b.tiles->tiles_x[s.unit]);
-      if (s.fullrow) {
-        // Known coordinates (x0..x0+lanes-1, y): mark the touched tracker
-        // tiles once instead of per lane. Marking is an idempotent OR-set,
-        // so the order relative to the cache replay does not matter.
-        std::uint8_t* row =
-            s.bitmap + (static_cast<std::uint32_t>(y) >> 2) * s.pitch;
-        const int tx_end = (x0 + lanes - 1) >> 2;
-        for (int tx = x0 >> 2; tx <= tx_end; ++tx) row[tx] = 1;
-        s.bitmap = nullptr;  // lane loop: cache probe only
-      }
-    }
-  }
-  TileTouchTracker* const slow_tiles = track_fast ? nullptr : b.tiles;
-  if (cache != nullptr && slow_tiles == nullptr && ts >= 0) {
-    // Hot variant: cache on with power-of-two tiles, tracker (if any)
-    // through the hoisted bitmaps. Line tags are built fragment-major into
-    // the scratch buffer and probed in one batch, so the cache's recency
-    // stamp stays in a register; the probe sequence -- and so every hit,
-    // miss, and eviction -- is the per-call order exactly.
-    std::uint64_t* const tb = sc.tag_buf.data();
-    std::size_t n = 0;
-    for (int l = 0; l < lanes; ++l) {
-      for (std::size_t t = 0; t < n_fetch; ++t) {
-        const Slot& s = slots[t];
-        if (s.fullrow) {
-          // Bitmap was pre-marked above; tile row of y is in row_tag.
-          tb[n++] = s.row_tag |
-                    (static_cast<std::uint32_t>(x0 + l) >> ts);
-          continue;
-        }
-        const Scratch::Fetch f = s.rec[l];
-        if (f.x == Scratch::kFetchSkip) continue;
-        tb[n++] =
-            s.tag_hi |
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.y) >> ts)
-             << 24) |
-            (static_cast<std::uint32_t>(f.x) >> ts);
-        if (s.bitmap != nullptr) {
-          // Inlined TileTouchTracker::touch for the fixed 4x4 tracker tile.
-          s.bitmap[(static_cast<std::uint32_t>(f.y) >> 2) * s.pitch +
-                   (static_cast<std::uint32_t>(f.x) >> 2)] = 1;
-        }
-      }
-    }
-    cache->access_tags(tb, n);
-    return;
-  }
-  for (int l = 0; l < lanes; ++l) {
-    for (std::size_t t = 0; t < n_fetch; ++t) {
-      const Slot& s = slots[t];
-      std::int32_t fx, fy;
-      if (s.fullrow) {
-        fx = x0 + l;
-        fy = y;
-      } else {
-        const Scratch::Fetch f = s.rec[l];
-        if (f.x == Scratch::kFetchSkip) continue;
-        fx = f.x;
-        fy = f.y;
-      }
-      if (cache != nullptr) cache->access(s.id, fx, fy);
-      if (s.bitmap != nullptr) {
-        s.bitmap[(static_cast<std::uint32_t>(fy) >> 2) * s.pitch +
-                 (static_cast<std::uint32_t>(fx) >> 2)] = 1;
-      } else if (slow_tiles != nullptr) {
-        slow_tiles->touch(s.unit, fx, fy);
-      }
-    }
-  }
-}
-
-void store_outputs(const CompiledProgram& cp, const CompiledBindings& b,
-                   Scratch& sc, int lanes, int x0, int y) {
-  for (int k = 0; k < kMaxOutputs; ++k) {
-    if (!(cp.outputs_written & (1u << k))) continue;
-    Texture2D* target = b.targets[static_cast<std::size_t>(k)];
-    const float* r0 = sc.out_row(k, 0);
-    const float* r1 = sc.out_row(k, 1);
-    const float* r2 = sc.out_row(k, 2);
-    const float* r3 = sc.out_row(k, 3);
-    for (int l = 0; l < lanes; ++l) {
-      target->store(x0 + l, y, {r0[l], r1[l], r2[l], r3[l]});
-    }
-  }
-}
-
-void add_analytic_counters(const CompiledProgram& cp, std::uint64_t fragments,
-                           ExecCounters& counters) {
-  counters.alu_instructions += fragments * cp.alu_per_fragment;
-  counters.tex_fetches += fragments * cp.tex_per_fragment;
-  counters.tex_fetch_bytes += fragments * cp.tex_bytes_per_fragment;
-}
-
-}  // namespace
-
-void run_compiled_rows(const CompiledProgram& cp,
-                       const CompiledBindings& bindings, int width,
-                       int y_begin, int y_end, ExecCounters& counters) {
-  if (width <= 0 || y_begin >= y_end) return;
-  Scratch sc;
-  sc.init(cp);
-  const bool record = bindings.cache != nullptr || bindings.tiles != nullptr;
-  const bool uses_tc0 = (cp.texcoords_used & 1u) != 0;
-  for (int y = y_begin; y < y_end; ++y) {
-    for (int x0 = 0; x0 < width; x0 += kTile) {
-      const int lanes = std::min(kTile, width - x0);
-      if (uses_tc0) {
-        float* t0 = sc.tc_row(0, 0);
-        float* t1 = sc.tc_row(0, 1);
-        float* t2 = sc.tc_row(0, 2);
-        float* t3 = sc.tc_row(0, 3);
-        for (int l = 0; l < lanes; ++l) {
-          t0[l] = static_cast<float>(x0 + l) + 0.5f;
-          t1[l] = static_cast<float>(y) + 0.5f;
-          t2[l] = 0.f;
-          t3[l] = 1.f;
-        }
-      }
-      exec_tile(cp, bindings, sc, lanes, /*fullscreen=*/true, x0, y, record);
-      store_outputs(cp, bindings, sc, lanes, x0, y);
-      if (record) replay_fetches(cp, bindings, sc, lanes, x0, y);
-    }
-  }
-  add_analytic_counters(
-      cp,
-      static_cast<std::uint64_t>(y_end - y_begin) *
-          static_cast<std::uint64_t>(width),
-      counters);
-}
-
-void run_compiled_fragments(const CompiledProgram& cp,
-                            const CompiledBindings& bindings,
-                            std::span<const GeomFragment> fragments,
-                            ExecCounters& counters) {
-  if (fragments.empty()) return;
-  Scratch sc;
-  sc.init(cp);
-  const bool record = bindings.cache != nullptr || bindings.tiles != nullptr;
-  for (std::size_t begin = 0; begin < fragments.size(); begin += kTile) {
-    const int lanes =
-        static_cast<int>(std::min<std::size_t>(kTile, fragments.size() - begin));
-    for (int attr = 0; attr < 2; ++attr) {
-      if (!(cp.texcoords_used & (1u << attr))) continue;
-      for (int c = 0; c < 4; ++c) {
-        float* row = sc.tc_row(attr, c);
-        for (int l = 0; l < lanes; ++l) {
-          const GeomFragment& f = fragments[begin + static_cast<std::size_t>(l)];
-          row[l] = attr == 0 ? f.texcoord0[static_cast<std::size_t>(c)]
-                             : f.texcoord1[static_cast<std::size_t>(c)];
-        }
-      }
-    }
-    exec_tile(cp, bindings, sc, lanes, /*fullscreen=*/false, 0, 0, record);
-    for (int k = 0; k < kMaxOutputs; ++k) {
-      if (!(cp.outputs_written & (1u << k))) continue;
-      Texture2D* target = bindings.targets[static_cast<std::size_t>(k)];
-      const float* r0 = sc.out_row(k, 0);
-      const float* r1 = sc.out_row(k, 1);
-      const float* r2 = sc.out_row(k, 2);
-      const float* r3 = sc.out_row(k, 3);
-      for (int l = 0; l < lanes; ++l) {
-        const GeomFragment& f = fragments[begin + static_cast<std::size_t>(l)];
-        target->store(f.x, f.y, {r0[l], r1[l], r2[l], r3[l]});
-      }
-    }
-    // Geometry passes never take the fullscreen fast path, so no fullrow
-    // flag is ever set and the (x0, y) synthesis arguments are unused.
-    if (record) replay_fetches(cp, bindings, sc, lanes, 0, 0);
-  }
-  add_analytic_counters(cp, fragments.size(), counters);
 }
 
 }  // namespace hs::gpusim

@@ -1,34 +1,32 @@
-// Pre-decoded, tile-batched execution engine for fragment programs.
+// First lowering stage for fragment programs, and the program caches.
 //
 // The interpreter (interpreter.hpp) re-decodes every instruction's operands
 // -- register-file switch, swizzle selection, negation -- once per fragment.
 // A pass over an Indian-Pines-scale chunk executes the same few dozen
-// instructions millions of times, so this engine lowers each bound
-// (program, constants, texture-shape) combination ONCE into a pre-decoded
-// form and runs it over row tiles of fragments with structure-of-arrays
-// temporaries, letting the host compiler vectorize across fragments -- the
-// same specialization step a stream compiler (Brook) or a shader JIT
-// performs before launching a kernel.
+// instructions millions of times, so each bound (program, constants,
+// texture-shape) combination is lowered ONCE into a pre-decoded form --
+// the same specialization step a stream compiler (Brook) or a shader JIT
+// performs before launching a kernel. The SoA engine (soa_program.hpp)
+// lowers this form a second time and executes it.
 //
-// Compilation performs:
+// compile_program() performs:
 //   * constant materialization: Const/Literal operands become immediates
 //     with their swizzle and negation folded into the value;
 //   * swizzle pre-resolution: in SoA layout a swizzled read is just a
 //     different component row, so swizzles cost nothing at run time;
 //   * dead-write elimination: ALU writes whose lanes are never consumed
 //     (including output writes fully overwritten later) are dropped;
-//   * per-texture specialization: formats/shapes are part of the cache key
-//     and the dominant fullscreen-quad fetch (texcoord = pixel center)
-//     becomes a direct texel-row copy with no float->int resolve per lane.
+//   * per-texture specialization: formats/shapes are part of the cache key;
+//   * resolve reuse: a TEX whose coordinate matches an earlier TEX against
+//     a same-shaped texture shares that fetch's resolved texel indices.
 //
-// Exactness guarantee: for any validated program the compiled engine
-// produces bit-identical FragmentResults, ExecCounters, texture-cache
-// statistics and tile-touch bitmaps to the interpreter. ALU/TEX counters
-// are charged analytically from the *original* instruction mix (eliminated
-// dead writes still cost what the interpreter would have charged), TEX
-// instructions are never dropped or reordered (they drive the cache
-// model), and per-fetch cache/tracker accesses are replayed in the
-// interpreter's fragment-major order after each tile.
+// ALU/TEX counters are charged analytically from the *original*
+// instruction mix (eliminated dead writes still cost what the interpreter
+// would have charged), and TEX instructions are never dropped or
+// reordered: they drive the cache model.
+//
+// ProgramCache (per device) and SharedProgramStore (across devices) hold
+// the fully lowered SoaProgram, keyed by the exact specialization bytes.
 #pragma once
 
 #include <array>
@@ -40,16 +38,12 @@
 #include <vector>
 
 #include "gpusim/fragment_ir.hpp"
-#include "gpusim/interpreter.hpp"
 #include "gpusim/texture.hpp"
-#include "gpusim/texture_cache.hpp"
 #include "trace/trace.hpp"
 
 namespace hs::gpusim {
 
-/// Fragments per execution tile (one tile = one row segment in a
-/// fullscreen pass). Sized so the whole SoA working set stays in L1/L2.
-inline constexpr int kExecTileWidth = 64;
+struct SoaProgram;  // soa_program.hpp
 
 struct CompiledSrc {
   enum class Kind : std::uint8_t {
@@ -113,7 +107,7 @@ CompiledProgram compile_program(const FragmentProgram& program,
                                 std::span<const float4> constants,
                                 std::span<const Texture2D* const> textures);
 
-/// Thread-safe cross-device store of compiled programs, keyed by the same
+/// Thread-safe cross-device store of lowered programs, keyed by the same
 /// exact specialization bytes as ProgramCache. Chunk-parallel pipelines
 /// clone one blank Device per worker; without sharing, every clone
 /// re-lowers the identical (program, constants, texture-shape) bindings.
@@ -121,8 +115,8 @@ CompiledProgram compile_program(const FragmentProgram& program,
 /// config, so all worker clones share it automatically) and each distinct
 /// binding compiles exactly once per store instead of once per device.
 ///
-/// Compilation is deterministic, programs are immutable after compile,
-/// and every access runs under one mutex (compile included, so concurrent
+/// Lowering is deterministic, programs are immutable once lowered, and
+/// every access runs under one mutex (lowering included, so concurrent
 /// misses on one key never duplicate work) -- bit-identity and TSan
 /// cleanliness are preserved by construction. Per-device ProgramCache
 /// hit/miss statistics are unaffected: a local miss still counts as a
@@ -138,7 +132,7 @@ class SharedProgramStore {
 
   explicit SharedProgramStore(std::size_t capacity = 512);
 
-  std::shared_ptr<const CompiledProgram> get_or_compile(
+  std::shared_ptr<const SoaProgram> get_or_compile(
       const FragmentProgram& program, std::span<const float4> constants,
       std::span<const Texture2D* const> textures);
 
@@ -149,7 +143,7 @@ class SharedProgramStore {
     std::uint64_t hash = 0;
     std::vector<std::uint8_t> key;
     std::uint64_t stamp = 0;
-    std::shared_ptr<const CompiledProgram> program;
+    std::shared_ptr<const SoaProgram> program;
   };
 
   mutable std::mutex mu_;
@@ -162,13 +156,13 @@ class SharedProgramStore {
   trace::Counter* trace_evictions_;
 };
 
-/// LRU cache of compiled programs, keyed by the exact specialization
+/// LRU cache of lowered programs, keyed by the exact specialization
 /// inputs: the instruction stream, the values of every referenced
 /// constant, and the shape/format/addressing of every sampled texture
 /// unit. The ping-pong loops of the AMC pipeline re-draw a handful of
-/// programs hundreds of times; each compiles once per device -- or once
+/// programs hundreds of times; each lowers once per device -- or once
 /// per *store* when a SharedProgramStore backs the cache (local misses
-/// then fetch the shared compilation instead of re-lowering).
+/// then fetch the shared plan instead of re-lowering).
 class ProgramCache {
  public:
   explicit ProgramCache(std::size_t capacity);
@@ -179,14 +173,9 @@ class ProgramCache {
     shared_store_ = std::move(store);
   }
 
-  const CompiledProgram& get(const FragmentProgram& program,
-                             std::span<const float4> constants,
-                             std::span<const Texture2D* const> textures);
-
-  /// get() returning the owning pointer: second-stage lowerings (the SoA
-  /// engine's plan cache) key off CompiledProgram identity and need the
-  /// program to outlive a concurrent eviction.
-  std::shared_ptr<const CompiledProgram> get_shared(
+  /// The owning pointer keeps the plan alive for a whole draw even if a
+  /// later lookup evicts it.
+  std::shared_ptr<const SoaProgram> get(
       const FragmentProgram& program, std::span<const float4> constants,
       std::span<const Texture2D* const> textures);
 
@@ -203,7 +192,7 @@ class ProgramCache {
     std::uint64_t stamp = 0;
     /// Stable across eviction; shared with (and possibly owned by) the
     /// cross-device store.
-    std::shared_ptr<const CompiledProgram> program;
+    std::shared_ptr<const SoaProgram> program;
   };
 
   std::size_t capacity_;
@@ -219,36 +208,5 @@ class ProgramCache {
   trace::Counter* trace_misses_;
   trace::Counter* trace_evictions_;
 };
-
-/// A rasterized fragment for geometry passes (see gpusim/raster.hpp):
-/// target pixel plus the interpolated texcoord attributes. Aliased as
-/// Device::GeomFragment.
-struct GeomFragment {
-  int x = 0;
-  int y = 0;
-  float4 texcoord0{};
-  float4 texcoord1{};
-};
-
-/// Everything one simulated pipe needs to run a compiled pass slice.
-struct CompiledBindings {
-  std::span<const Texture2D* const> textures;
-  std::span<const std::uint32_t> texture_ids;
-  std::span<Texture2D* const> targets;
-  TextureCache* cache = nullptr;      ///< per-pipe; null disables stats
-  TileTouchTracker* tiles = nullptr;  ///< per-pipe; null disables tracking
-};
-
-/// Executes rows [y_begin, y_end) of a full-viewport pass (texcoord[0] =
-/// texel center) and accumulates the analytic counters.
-void run_compiled_rows(const CompiledProgram& program,
-                       const CompiledBindings& bindings, int width,
-                       int y_begin, int y_end, ExecCounters& counters);
-
-/// Executes an explicit fragment list slice (geometry passes).
-void run_compiled_fragments(const CompiledProgram& program,
-                            const CompiledBindings& bindings,
-                            std::span<const GeomFragment> fragments,
-                            ExecCounters& counters);
 
 }  // namespace hs::gpusim

@@ -37,8 +37,6 @@ void annotate_pass_span(trace::Span& span, const PassStats& stats) {
 bool parse_exec_engine(std::string_view name, ExecEngine& out) {
   if (name == "interpreter") {
     out = ExecEngine::Interpreter;
-  } else if (name == "compiled") {
-    out = ExecEngine::Compiled;
   } else if (name == "soa") {
     out = ExecEngine::Soa;
   } else {
@@ -50,7 +48,6 @@ bool parse_exec_engine(std::string_view name, ExecEngine& out) {
 const char* exec_engine_name(ExecEngine engine) {
   switch (engine) {
     case ExecEngine::Interpreter: return "interpreter";
-    case ExecEngine::Compiled: return "compiled";
     case ExecEngine::Soa: return "soa";
   }
   return "?";
@@ -60,7 +57,6 @@ Device::Device(DeviceProfile profile, SimConfig config)
     : profile_(std::move(profile)),
       config_(config),
       program_cache_(config.program_cache_capacity),
-      soa_cache_(config.program_cache_capacity),
       pool_(resolve_threads(config, profile_.fragment_pipes)) {
   HS_ASSERT(profile_.fragment_pipes > 0);
   program_cache_.set_shared_store(config_.shared_programs);
@@ -244,6 +240,8 @@ Device::BoundPass Device::bind_pass(const FragmentProgram& program,
 }
 
 namespace {
+/// Tile-touch tracker edge, texels. The SoA executor's marks assume 4 and
+/// assert it.
 constexpr int kTrackerTile = 4;
 }
 
@@ -265,6 +263,17 @@ std::vector<TileTouchTracker> Device::make_tile_trackers(
     }
   }
   return pipe_tiles;
+}
+
+SoaBindings Device::soa_bindings(const BoundPass& bound, std::size_t pipe,
+                                 std::span<TileTouchTracker> pipe_tiles) {
+  SoaBindings b;
+  b.textures = bound.inputs;
+  b.texture_ids = bound.input_ids;
+  b.targets = bound.targets;
+  b.cache = config_.texture_cache ? &pipe_caches_[pipe] : nullptr;
+  b.tiles = config_.texture_cache ? &pipe_tiles[pipe] : nullptr;
+  return b;
 }
 
 PassStats Device::finalize_pass(const FragmentProgram& program,
@@ -353,13 +362,10 @@ PassStats Device::draw(const FragmentProgram& program,
   std::vector<TileTouchTracker> pipe_tiles = make_tile_trackers(bound);
   for (auto& cache : pipe_caches_) cache.flush();
 
-  // Lower (or fetch from the caches) once per pass, outside the pipe loop.
-  const CompiledProgram* compiled = nullptr;
+  // Lower (or fetch from the cache) once per pass, outside the pipe loop.
   std::shared_ptr<const SoaProgram> soa;
   if (config_.exec_engine == ExecEngine::Soa) {
-    soa = soa_cache_.get(program_cache_.get_shared(program, constants, bound.inputs));
-  } else if (config_.exec_engine == ExecEngine::Compiled) {
-    compiled = &program_cache_.get(program, constants, bound.inputs);
+    soa = program_cache_.get(program, constants, bound.inputs);
   }
 
   // Contiguous row blocks per logical pipe: deterministic partitioning that
@@ -374,19 +380,9 @@ PassStats Device::draw(const FragmentProgram& program,
         height, kTrackerTile * (static_cast<int>(pipe) * tile_rows / pipes));
     const int y_end = std::min(
         height, kTrackerTile * (static_cast<int>(pipe + 1) * tile_rows / pipes));
-    if (compiled != nullptr || soa != nullptr) {
-      CompiledBindings cb;
-      cb.textures = bound.inputs;
-      cb.texture_ids = bound.input_ids;
-      cb.targets = bound.targets;
-      cb.cache = config_.texture_cache ? &pipe_caches_[pipe] : nullptr;
-      cb.tiles = config_.texture_cache ? &pipe_tiles[pipe] : nullptr;
-      if (soa != nullptr) {
-        run_soa_rows(*soa, cb, width, y_begin, y_end, pipe_counters[pipe]);
-      } else {
-        run_compiled_rows(*compiled, cb, width, y_begin, y_end,
-                          pipe_counters[pipe]);
-      }
+    if (soa != nullptr) {
+      run_soa_rows(*soa, soa_bindings(bound, pipe, pipe_tiles), width,
+                   y_begin, y_end, pipe_counters[pipe]);
       return;
     }
     FragmentContext ctx;
@@ -432,12 +428,9 @@ PassStats Device::draw_fragments(const FragmentProgram& program,
   std::vector<TileTouchTracker> pipe_tiles = make_tile_trackers(bound);
   for (auto& cache : pipe_caches_) cache.flush();
 
-  const CompiledProgram* compiled = nullptr;
   std::shared_ptr<const SoaProgram> soa;
   if (config_.exec_engine == ExecEngine::Soa) {
-    soa = soa_cache_.get(program_cache_.get_shared(program, constants, bound.inputs));
-  } else if (config_.exec_engine == ExecEngine::Compiled) {
-    compiled = &program_cache_.get(program, constants, bound.inputs);
+    soa = program_cache_.get(program, constants, bound.inputs);
   }
 
   // Contiguous fragment ranges per logical pipe: raster order preserves
@@ -446,21 +439,10 @@ PassStats Device::draw_fragments(const FragmentProgram& program,
   auto run_pipe = [&](std::size_t pipe) {
     const std::size_t begin = pipe * n / static_cast<std::size_t>(pipes);
     const std::size_t end = (pipe + 1) * n / static_cast<std::size_t>(pipes);
-    if (compiled != nullptr || soa != nullptr) {
-      CompiledBindings cb;
-      cb.textures = bound.inputs;
-      cb.texture_ids = bound.input_ids;
-      cb.targets = bound.targets;
-      cb.cache = config_.texture_cache ? &pipe_caches_[pipe] : nullptr;
-      cb.tiles = config_.texture_cache ? &pipe_tiles[pipe] : nullptr;
-      if (soa != nullptr) {
-        run_soa_fragments(*soa, cb, fragments.subspan(begin, end - begin),
-                          pipe_counters[pipe]);
-      } else {
-        run_compiled_fragments(*compiled, cb,
-                               fragments.subspan(begin, end - begin),
-                               pipe_counters[pipe]);
-      }
+    if (soa != nullptr) {
+      run_soa_fragments(*soa, soa_bindings(bound, pipe, pipe_tiles),
+                        fragments.subspan(begin, end - begin),
+                        pipe_counters[pipe]);
       return;
     }
     FragmentContext ctx;

@@ -23,10 +23,10 @@
 #include <vector>
 
 #include "gpusim/compiled_program.hpp"
-#include "gpusim/soa_program.hpp"
 #include "gpusim/device_profile.hpp"
 #include "gpusim/fragment_ir.hpp"
 #include "gpusim/interpreter.hpp"
+#include "gpusim/soa_program.hpp"
 #include "gpusim/texture.hpp"
 #include "gpusim/texture_cache.hpp"
 #include "gpusim/timing_model.hpp"
@@ -43,19 +43,17 @@ class GpuOutOfMemory : public std::runtime_error {
 /// Opaque texture identifier. 0 is never a valid handle.
 using TextureHandle = std::uint32_t;
 
-/// Fragment-program execution engine. All engines produce bit-identical
+/// Fragment-program execution engine. Both engines produce bit-identical
 /// outputs, counters, cache statistics and modeled times (see
-/// compiled_program.hpp and soa_program.hpp for the exactness
-/// guarantees); the interpreter is the simple reference, the compiled
-/// engine the default, and the SoA engine the fast path.
+/// soa_program.hpp for the exactness guarantee); the interpreter is the
+/// simple reference, the SoA engine the default fast path.
 enum class ExecEngine : std::uint8_t {
   Interpreter,  ///< decode every operand per fragment (reference)
-  Compiled,     ///< pre-decoded, tile-batched SoA execution
-  Soa,          ///< + fetch classification, runtime DCE, SIMD lane loops
+  Soa,          ///< lowered once, tile-batched SIMD lane loops
 };
 
-/// Parses "interpreter" / "compiled" / "soa" (exact, lowercase); returns
-/// false and leaves `out` untouched on anything else.
+/// Parses "interpreter" / "soa" (exact, lowercase); returns false and
+/// leaves `out` untouched on anything else.
 bool parse_exec_engine(std::string_view name, ExecEngine& out);
 
 /// The canonical CLI name of an engine (inverse of parse_exec_engine).
@@ -73,12 +71,12 @@ struct SimConfig {
   /// Enforce the profile's video-memory capacity on texture creation.
   bool enforce_memory_limit = true;
   /// Engine used by draw()/draw_fragments().
-  ExecEngine exec_engine = ExecEngine::Compiled;
-  /// Entries in the device's compiled-program LRU cache (clamped to >= 1).
+  ExecEngine exec_engine = ExecEngine::Soa;
+  /// Entries in the device's lowered-program LRU cache (clamped to >= 1).
   /// Size it to the working set of distinct (program, constants,
   /// texture-shape) combinations the workload re-draws.
   std::size_t program_cache_capacity = 32;
-  /// Optional cross-device compiled-program store backing local cache
+  /// Optional cross-device lowered-program store backing local cache
   /// misses (null = each device lowers its own programs). clone_blank
   /// copies the config, so chunk-parallel worker clones share the store
   /// automatically; results stay bit-identical (see SharedProgramStore).
@@ -217,7 +215,7 @@ class Device {
   const DeviceTotals& totals() const { return totals_; }
   void reset_totals() { totals_ = {}; }
 
-  /// The compiled-program cache (hit/miss statistics for tests and tools).
+  /// The lowered-program cache (hit/miss statistics for tests and tools).
   const ProgramCache& program_cache() const { return program_cache_; }
 
  private:
@@ -239,6 +237,8 @@ class Device {
                       std::span<const float4> constants,
                       std::span<const TextureHandle> outputs);
   std::vector<TileTouchTracker> make_tile_trackers(const BoundPass& bound) const;
+  SoaBindings soa_bindings(const BoundPass& bound, std::size_t pipe,
+                           std::span<TileTouchTracker> pipe_tiles);
   PassStats finalize_pass(const FragmentProgram& program, const BoundPass& bound,
                           std::uint64_t fragments,
                           std::span<const ExecCounters> pipe_counters,
@@ -252,7 +252,6 @@ class Device {
   std::uint64_t memory_used_ = 0;
   std::vector<TextureCache> pipe_caches_;  // one per logical pipe
   ProgramCache program_cache_;
-  SoaProgramCache soa_cache_;  // second-stage plans (ExecEngine::Soa)
   util::ThreadPool pool_;
   DeviceTotals totals_;
 };

@@ -21,7 +21,7 @@ namespace hs::gpusim {
 // Approximations of the hardware special-function unit. NV30-class RCP was
 // good to ~23 mantissa bits, close enough to IEEE that we just use the host
 // operations; LG2/EX2 likewise. Shared (inline, single definition) by the
-// interpreter and the compiled engine so both produce bit-identical values.
+// interpreter and the SoA engine so both produce bit-identical values.
 inline float hw_rcp(float x) { return 1.0f / x; }
 inline float hw_rsq(float x) { return 1.0f / std::sqrt(x); }
 inline float hw_lg2(float x) { return std::log2(x); }

@@ -1,12 +1,11 @@
 // Second-stage lowering (fetch classification + runtime DCE) and the SoA
 // tile executor. See soa_program.hpp for the design and the exactness
-// argument; the executor mirrors compiled_program.cpp's tile loop but
-// specializes the texture paths and replays the cache through memoized
-// probes.
+// argument.
 #include "gpusim/soa_program.hpp"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -43,7 +42,7 @@ constexpr int kTile = 256;
 /// representable (|value| < 2^22 has an exact 0.5-fractional float).
 constexpr std::int32_t kMaxStaticOffset = 1 << 20;
 /// Viewport coordinates must stay below this for the static fast path;
-/// run_soa_rows falls back to the compiled executor otherwise.
+/// run_soa_rows runs a wider pass all-dynamic instead.
 constexpr std::int64_t kMaxExactCoord = std::int64_t{1} << 21;
 
 /// Replay-tag sentinel for a border-color (uncounted) fetch lane; the
@@ -103,6 +102,17 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
   const CompiledProgram& cp = *sp.compiled;
   sp.fetch.resize(cp.tex_unit_of_fetch.size());
   sp.live_fullscreen.assign(cp.code.size(), 1);
+  for (const CompiledIns& ci : cp.code) {
+    if (!ci.dst_is_output) {
+      sp.temp_regs = std::max(sp.temp_regs, ci.dst_index + 1);
+    }
+    for (int s = 0; s < ci.src_count; ++s) {
+      const CompiledSrc& cs = ci.src[static_cast<std::size_t>(s)];
+      if (cs.kind == CompiledSrc::Kind::Temp) {
+        sp.temp_regs = std::max(sp.temp_regs, cs.index + 1);
+      }
+    }
+  }
 
   // Forward pass: propagate "texcoord0 + integer offset" facts through the
   // MOV/ADD/SUB idiom and classify every fetch slot.
@@ -362,42 +372,19 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
   return sp;
 }
 
-// ---- plan cache ------------------------------------------------------------
-
-SoaProgramCache::SoaProgramCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {}
-
-std::shared_ptr<const SoaProgram> SoaProgramCache::get(
-    std::shared_ptr<const CompiledProgram> compiled) {
-  for (Entry& e : entries_) {
-    if (e.program->compiled == compiled) {
-      e.stamp = ++stamp_;
-      return e.program;
-    }
-  }
-  if (entries_.size() >= capacity_) {
-    entries_.erase(std::min_element(
-        entries_.begin(), entries_.end(),
-        [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; }));
-  }
-  Entry e;
-  e.stamp = ++stamp_;
-  e.program = std::make_shared<const SoaProgram>(lower_soa(std::move(compiled)));
-  entries_.push_back(std::move(e));
-  return entries_.back().program;
-}
-
 // ---- tile executor ---------------------------------------------------------
 
 namespace {
 
-/// Per-pipe working set; same SoA row layout as the compiled engine's
-/// Scratch, plus integer coordinate rows and replay-tag rows per fetch
-/// slot (the SoA equivalent of its Fetch records).
+/// Per-pipe working set, allocated once per pass slice. All register and
+/// attribute storage is SoA: row(reg, comp) is a contiguous kTile-float
+/// lane array, so a swizzled operand read is just a different row pointer
+/// and the per-op lane loops vectorize. Register files are sized to the
+/// highest register the program uses, not to the ISA limits.
 struct SoaScratch {
-  std::vector<float> temps;   // kMaxTemps x 4 rows
-  std::vector<float> tcs;     // kMaxTexCoords x 4 rows
-  std::vector<float> outs;    // kMaxOutputs x 4 rows
+  std::vector<float> temps;   // temp_regs x 4 rows
+  std::vector<float> tcs;     // highest used texcoord + 1, x 4 rows
+  std::vector<float> outs;    // highest written output + 1, x 4 rows
   std::vector<float> imms;    // imm_count x 4 rows, broadcast once
   std::vector<float> neg;     // 3 operands x 4 rows of negate staging
   std::vector<float> dstage;  // 4 rows of alias-hazard staging
@@ -407,10 +394,17 @@ struct SoaScratch {
   std::vector<std::int32_t> is;     // n_fetch x kTile linear texel index
   std::vector<std::uint64_t> tags;  // n_fetch x kTile replay tags
 
-  void init(const CompiledProgram& cp) {
-    temps.resize(static_cast<std::size_t>(kMaxTemps) * 4 * kTile);
-    tcs.assign(static_cast<std::size_t>(kMaxTexCoords) * 4 * kTile, 0.f);
-    outs.assign(static_cast<std::size_t>(kMaxOutputs) * 4 * kTile, 0.f);
+  void init(const SoaProgram& sp) {
+    const CompiledProgram& cp = *sp.compiled;
+    // Unwritten texcoord and output lanes read as zero, matching the
+    // interpreter's zeroed attribute and result registers.
+    temps.resize(static_cast<std::size_t>(sp.temp_regs) * 4 * kTile);
+    tcs.assign(static_cast<std::size_t>(std::bit_width(cp.texcoords_used)) *
+                   4 * kTile,
+               0.f);
+    outs.assign(static_cast<std::size_t>(std::bit_width(cp.outputs_written)) *
+                    4 * kTile,
+                0.f);
     imms.resize(static_cast<std::size_t>(cp.imm_count) * 4 * kTile);
     neg.resize(3 * 4 * kTile);
     dstage.resize(4 * kTile);
@@ -462,8 +456,8 @@ struct SoaScratch {
   }
 };
 
-/// Row holding source lanes that feed destination component `c`; negated
-/// operands are staged. Mirrors the compiled engine exactly.
+/// Row holding source lanes that feed destination component `c` (or slot
+/// `c` of a dot/scalar/TEX read). Negated operands are staged.
 const float* src_row(const CompiledSrc& s, int c, SoaScratch& sc, int lanes,
                      int operand) {
   if (s.kind == CompiledSrc::Kind::Imm) {
@@ -667,7 +661,7 @@ struct SlotRT {
 
 /// Everything the per-tile texture paths need.
 struct TileCtx {
-  const CompiledBindings* b = nullptr;
+  const SoaBindings* b = nullptr;
   SoaScratch* sc = nullptr;
   const SlotInfo* info = nullptr;
   SlotRT* rt = nullptr;
@@ -695,7 +689,7 @@ void fill_rows(float* const d[4], float4 v, int from, int to) {
 /// no border lanes (every linear index valid) and int32-sized textures.
 /// Any mismatch disables fusion for the pass -- annotated instructions
 /// then execute normally against materialized fetch rows.
-bool fusions_active(const SoaProgram& sp, const CompiledBindings& b) {
+bool fusions_active(const SoaProgram& sp, const SoaBindings& b) {
   if (sp.fused.empty()) return false;
   for (const SoaFusedTex& fa : sp.fused) {
     for (int s = 0; s < 2; ++s) {
@@ -1229,9 +1223,7 @@ struct ReplayState {
 /// fragment-major, program-slot order. Arithmetic recipes are first
 /// materialized into their slot's tag row (a SIMD loop) and the probing
 /// slots compacted, so the cache sees one uniform lane-major tag matrix
-/// -- where the compiled engine re-reads fetch records and rebuilds each
-/// tag scalar-by-scalar inside its replay loop, this engine's probe loop
-/// only loads finished tags.
+/// and its probe loop only loads finished tags.
 void soa_replay(const CompiledProgram& cp, TileCtx& t, ReplayState& rs) {
   const std::size_t n_fetch = cp.tex_unit_of_fetch.size();
   SoaScratch& sc = *t.sc;
@@ -1264,7 +1256,7 @@ void soa_replay(const CompiledProgram& cp, TileCtx& t, ReplayState& rs) {
 /// Stores the tile's output rows. Full-float targets are written straight
 /// into the backing array; half formats keep the per-lane quantizing
 /// store().
-void soa_store_rows(const CompiledProgram& cp, const CompiledBindings& b,
+void soa_store_rows(const CompiledProgram& cp, const SoaBindings& b,
                     SoaScratch& sc, int lanes, int x0, int y) {
   for (int k = 0; k < kMaxOutputs; ++k) {
     if (!(cp.outputs_written & (1u << k))) continue;
@@ -1307,17 +1299,16 @@ void add_analytic_counters(const CompiledProgram& cp, std::uint64_t fragments,
 
 /// Hoists the tile-invariant slot state for one pass slice.
 std::vector<SlotInfo> make_slot_infos(const CompiledProgram& cp,
-                                      const CompiledBindings& b) {
+                                      const SoaBindings& b) {
   const std::size_t n_fetch = cp.tex_unit_of_fetch.size();
   std::vector<SlotInfo> infos(n_fetch);
-  const bool track = b.tiles != nullptr && b.tiles->tile_size == 4;
   for (std::size_t s = 0; s < n_fetch; ++s) {
     SlotInfo& info = infos[s];
     info.unit = cp.tex_unit_of_fetch[s];
     info.id = info.unit < b.texture_ids.size() ? b.texture_ids[info.unit]
                                                : info.unit;
     info.tag_hi = static_cast<std::uint64_t>(info.id) << 48;
-    if (track && info.unit < b.tiles->units.size() &&
+    if (b.tiles != nullptr && info.unit < b.tiles->units.size() &&
         !b.tiles->units[info.unit].empty()) {
       info.bitmap = b.tiles->units[info.unit].data();
       info.pitch = static_cast<std::size_t>(b.tiles->tiles_x[info.unit]);
@@ -1326,56 +1317,97 @@ std::vector<SlotInfo> make_slot_infos(const CompiledProgram& cp,
   return infos;
 }
 
-/// The specialized paths require power-of-two cache tiles, the default
-/// 4x4 tracker tile, and coordinates inside the float-exactness bound;
-/// anything else delegates to the compiled executor (same bit-identity
-/// guarantee, just slower).
-bool soa_fast_ok(const SoaProgram& sp, const CompiledBindings& b,
-                 int max_coord) {
-  if (b.cache != nullptr && b.cache->tile_shift() < 0) return false;
-  if (b.tiles != nullptr && b.tiles->tile_size != 4) return false;
-  if (std::int64_t{max_coord} + sp.max_abs_offset + 1 >= kMaxExactCoord) {
-    return false;
+/// One pipe's pass slice: the scratch, the hoisted slot state and the
+/// replay session, shared by run_soa_rows() and run_soa_fragments(). Not
+/// movable: `t` points into the other members.
+struct SliceRun {
+  const SoaProgram& sp;
+  SoaScratch sc;
+  std::vector<SlotInfo> infos;
+  std::vector<SlotRT> rts;
+  TileCtx t;
+  std::optional<ReplayState> replay;
+
+  SliceRun(const SoaProgram& program, const SoaBindings& b) : sp(program) {
+    // The arithmetic tag recipes shift by log2 of the cache tile, and the
+    // tile-touch marks by 2. Device always builds the default 4x4 cache
+    // tile (TextureCacheConfig) and 4x4 tracker tiles (kTrackerTile).
+    HS_ASSERT_MSG(b.cache == nullptr || b.cache->tile_shift() >= 0,
+                  "SoA executor needs a power-of-two cache tile");
+    HS_ASSERT_MSG(b.tiles == nullptr || b.tiles->tile_size == 4,
+                  "SoA executor needs 4x4 tile-touch tracker tiles");
+    sc.init(sp);
+    infos = make_slot_infos(*sp.compiled, b);
+    rts.resize(infos.size());
+    t.b = &b;
+    t.sc = &sc;
+    t.info = infos.data();
+    t.rt = rts.data();
+    t.want_tags = b.cache != nullptr;
+    t.ts = t.want_tags ? b.cache->tile_shift() : 0;
+    t.fuse_active = fusions_active(sp, b);
+    if (t.want_tags) replay.emplace(*b.cache, infos.size());
   }
-  return true;
-}
+  SliceRun(const SliceRun&) = delete;
+  SliceRun& operator=(const SliceRun&) = delete;
+
+  /// Runs the program over the current tile, whose texcoord rows are set.
+  /// `fullscreen` enables the static/uniform fetch plans and skips the
+  /// coordinate ALU they make dead; otherwise every instruction executes
+  /// and every fetch is dynamic.
+  void exec(bool fullscreen) {
+    const CompiledProgram& cp = *sp.compiled;
+    for (std::size_t i = 0; i < cp.code.size(); ++i) {
+      if (fullscreen && !sp.live_fullscreen[i]) continue;
+      if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
+      const CompiledIns& ci = cp.code[i];
+      if (ci.op == Opcode::TEX) {
+        soa_tex(ci, sp, t, fullscreen);
+      } else if (t.fuse_active && sp.dot_of[i] >= 0) {
+        exec_fused_dot(
+            ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])], t);
+      } else if (t.fuse_active && sp.fuse_of[i] >= 0) {
+        exec_fused_tex(
+            ci, sp.fused[static_cast<std::size_t>(sp.fuse_of[i])], t);
+      } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
+                 ci.op == Opcode::DP4) {
+        exec_scalar_or_dot(ci, sc, t.lanes);
+      } else {
+        exec_componentwise(ci, sc, t.lanes);
+      }
+    }
+  }
+
+  void replay_tile() {
+    if (t.want_tags) soa_replay(*sp.compiled, t, *replay);
+  }
+};
 
 }  // namespace
 
-void run_soa_rows(const SoaProgram& sp, const CompiledBindings& bindings,
+void run_soa_rows(const SoaProgram& sp, const SoaBindings& bindings,
                   int width, int y_begin, int y_end, ExecCounters& counters) {
   if (width <= 0 || y_begin >= y_end) return;
   const CompiledProgram& cp = *sp.compiled;
-  if (!soa_fast_ok(sp, bindings, std::max(width, y_end))) {
-    run_compiled_rows(cp, bindings, width, y_begin, y_end, counters);
-    return;
-  }
-  SoaScratch sc;
-  sc.init(cp);
-  std::vector<SlotInfo> infos = make_slot_infos(cp, bindings);
-  std::vector<SlotRT> rts(infos.size());
-  TileCtx t;
-  t.b = &bindings;
-  t.sc = &sc;
-  t.info = infos.data();
-  t.rt = rts.data();
-  t.want_tags = bindings.cache != nullptr;
-  t.ts = t.want_tags ? bindings.cache->tile_shift() : 0;
-  t.fuse_active = fusions_active(sp, bindings);
-  std::optional<ReplayState> replay;
-  if (t.want_tags) replay.emplace(*bindings.cache, infos.size());
+  SliceRun run(sp, bindings);
+  // The static plans rely on `(x + 0.5) + dx` being exact in float. A
+  // viewport reaching past that bound runs the pass all-dynamic, exactly
+  // like a geometry pass: same results, only slower.
+  const bool fullscreen = std::int64_t{std::max(width, y_end)} +
+                              sp.max_abs_offset + 1 <
+                          kMaxExactCoord;
   const bool uses_tc0 = (cp.texcoords_used & 1u) != 0;
   for (int y = y_begin; y < y_end; ++y) {
     for (int x0 = 0; x0 < width; x0 += kTile) {
       const int lanes = std::min(kTile, width - x0);
-      t.lanes = lanes;
-      t.x0 = x0;
-      t.y = y;
+      run.t.lanes = lanes;
+      run.t.x0 = x0;
+      run.t.y = y;
       if (uses_tc0) {
-        float* t0 = sc.tc_row(0, 0);
-        float* t1 = sc.tc_row(0, 1);
-        float* t2 = sc.tc_row(0, 2);
-        float* t3 = sc.tc_row(0, 3);
+        float* t0 = run.sc.tc_row(0, 0);
+        float* t1 = run.sc.tc_row(0, 1);
+        float* t2 = run.sc.tc_row(0, 2);
+        float* t3 = run.sc.tc_row(0, 3);
         HS_SOA_SIMD
         for (int l = 0; l < lanes; ++l) {
           t0[l] = static_cast<float>(x0 + l) + 0.5f;
@@ -1384,27 +1416,9 @@ void run_soa_rows(const SoaProgram& sp, const CompiledBindings& bindings,
           t3[l] = 1.f;
         }
       }
-      for (std::size_t i = 0; i < cp.code.size(); ++i) {
-        if (!sp.live_fullscreen[i]) continue;
-        if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
-        const CompiledIns& ci = cp.code[i];
-        if (ci.op == Opcode::TEX) {
-          soa_tex(ci, sp, t, /*fullscreen=*/true);
-        } else if (t.fuse_active && sp.dot_of[i] >= 0) {
-          exec_fused_dot(
-              ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])], t);
-        } else if (t.fuse_active && sp.fuse_of[i] >= 0) {
-          exec_fused_tex(
-              ci, sp.fused[static_cast<std::size_t>(sp.fuse_of[i])], t);
-        } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
-                   ci.op == Opcode::DP4) {
-          exec_scalar_or_dot(ci, sc, lanes);
-        } else {
-          exec_componentwise(ci, sc, lanes);
-        }
-      }
-      soa_store_rows(cp, bindings, sc, lanes, x0, y);
-      if (t.want_tags) soa_replay(cp, t, *replay);
+      run.exec(fullscreen);
+      soa_store_rows(cp, bindings, run.sc, lanes, x0, y);
+      run.replay_tile();
     }
   }
   add_analytic_counters(
@@ -1414,39 +1428,20 @@ void run_soa_rows(const SoaProgram& sp, const CompiledBindings& bindings,
       counters);
 }
 
-void run_soa_fragments(const SoaProgram& sp, const CompiledBindings& bindings,
+void run_soa_fragments(const SoaProgram& sp, const SoaBindings& bindings,
                        std::span<const GeomFragment> fragments,
                        ExecCounters& counters) {
   if (fragments.empty()) return;
   const CompiledProgram& cp = *sp.compiled;
-  if (!soa_fast_ok(sp, bindings, 0)) {
-    run_compiled_fragments(cp, bindings, fragments, counters);
-    return;
-  }
-  SoaScratch sc;
-  sc.init(cp);
-  std::vector<SlotInfo> infos = make_slot_infos(cp, bindings);
-  std::vector<SlotRT> rts(infos.size());
-  TileCtx t;
-  t.b = &bindings;
-  t.sc = &sc;
-  t.info = infos.data();
-  t.rt = rts.data();
-  t.want_tags = bindings.cache != nullptr;
-  t.ts = t.want_tags ? bindings.cache->tile_shift() : 0;
-  t.fuse_active = fusions_active(sp, bindings);
-  std::optional<ReplayState> replay;
-  if (t.want_tags) replay.emplace(*bindings.cache, infos.size());
-  t.x0 = 0;
-  t.y = 0;
+  SliceRun run(sp, bindings);
   for (std::size_t begin = 0; begin < fragments.size(); begin += kTile) {
     const int lanes = static_cast<int>(
         std::min<std::size_t>(kTile, fragments.size() - begin));
-    t.lanes = lanes;
+    run.t.lanes = lanes;
     for (int attr = 0; attr < 2; ++attr) {
       if (!(cp.texcoords_used & (1u << attr))) continue;
       for (int c = 0; c < 4; ++c) {
-        float* row = sc.tc_row(attr, c);
+        float* row = run.sc.tc_row(attr, c);
         for (int l = 0; l < lanes; ++l) {
           const GeomFragment& f =
               fragments[begin + static_cast<std::size_t>(l)];
@@ -1455,39 +1450,21 @@ void run_soa_fragments(const SoaProgram& sp, const CompiledBindings& bindings,
         }
       }
     }
-    // Geometry passes execute every instruction and treat every fetch as
-    // dynamic: the static/uniform plans assume fullscreen texcoords.
-    for (std::size_t i = 0; i < cp.code.size(); ++i) {
-      if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
-      const CompiledIns& ci = cp.code[i];
-      if (ci.op == Opcode::TEX) {
-        soa_tex(ci, sp, t, /*fullscreen=*/false);
-      } else if (t.fuse_active && sp.dot_of[i] >= 0) {
-        exec_fused_dot(
-            ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])], t);
-      } else if (t.fuse_active && sp.fuse_of[i] >= 0) {
-        exec_fused_tex(
-            ci, sp.fused[static_cast<std::size_t>(sp.fuse_of[i])], t);
-      } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
-                 ci.op == Opcode::DP4) {
-        exec_scalar_or_dot(ci, sc, lanes);
-      } else {
-        exec_componentwise(ci, sc, lanes);
-      }
-    }
+    // The static/uniform plans assume fullscreen texcoords.
+    run.exec(/*fullscreen=*/false);
     for (int k = 0; k < kMaxOutputs; ++k) {
       if (!(cp.outputs_written & (1u << k))) continue;
       Texture2D* target = bindings.targets[static_cast<std::size_t>(k)];
-      const float* r0 = sc.out_row(k, 0);
-      const float* r1 = sc.out_row(k, 1);
-      const float* r2 = sc.out_row(k, 2);
-      const float* r3 = sc.out_row(k, 3);
+      const float* r0 = run.sc.out_row(k, 0);
+      const float* r1 = run.sc.out_row(k, 1);
+      const float* r2 = run.sc.out_row(k, 2);
+      const float* r3 = run.sc.out_row(k, 3);
       for (int l = 0; l < lanes; ++l) {
         const GeomFragment& f = fragments[begin + static_cast<std::size_t>(l)];
         target->store(f.x, f.y, {r0[l], r1[l], r2[l], r3[l]});
       }
     }
-    if (t.want_tags) soa_replay(cp, t, *replay);
+    run.replay_tile();
   }
   add_analytic_counters(cp, fragments.size(), counters);
 }

@@ -1,18 +1,20 @@
-// Structure-of-arrays SIMD execution engine (ExecEngine::Soa).
+// Structure-of-arrays SIMD execution engine (ExecEngine::Soa, the
+// default; the interpreter is the reference it is checked against).
 //
-// A second lowering stage over CompiledProgram: where the compiled engine
-// pre-decodes operands and batches fragments into row tiles, this engine
-// additionally classifies every texture fetch by how its coordinate is
-// produced, then specializes the per-tile work:
+// A second lowering stage over CompiledProgram (compiled_program.hpp),
+// which pre-decodes operands; this stage classifies every texture fetch by
+// how its coordinate is produced, and the executor runs the program over
+// 256-fragment row tiles with structure-of-arrays registers, specializing
+// the per-tile work:
 //
 //   * STATIC fetches -- coordinate = texcoord0.xy plus a folded integer
 //     offset (the paper's neighbor-sampling idiom: `ADD R, tc0, c[d]`
 //     with integral constants). The float math `(x + 0.5) + dx` is exactly
-//     representable for every viewport this simulator can draw (guarded),
-//     so floor/wrap never runs per lane: the interior of the tile is a
-//     contiguous texel-row copy, edge lanes take scalar clamp fixups, the
-//     cache-line tags are synthesized arithmetically during replay, and
-//     tile-touch marks collapse to one range mark per tile.
+//     representable inside the float-exactness bound, so floor/wrap never
+//     runs per lane: the interior of the tile is a contiguous texel-row
+//     copy, edge lanes take scalar clamp fixups, the cache-line tags are
+//     synthesized arithmetically during replay, and tile-touch marks
+//     collapse to one range mark per tile.
 //   * UNIFORM fetches -- a pass-uniform immediate coordinate: resolved
 //     once, broadcast into the destination rows, one constant tag.
 //   * DYNAMIC fetches -- everything else: the per-lane resolve is split
@@ -22,8 +24,10 @@
 //
 // Coordinate ALU that feeds only static/uniform fetches is skipped at run
 // time in fullscreen-row mode (runtime DCE; ALU counters are analytic, so
-// modeled work is unchanged). Geometry passes execute every instruction
-// and treat every fetch as dynamic, exactly like the compiled engine.
+// modeled work is unchanged). Geometry passes run all-dynamic: every
+// instruction executes and every fetch takes the dynamic path. A
+// fullscreen pass whose viewport reaches past the float-exactness bound
+// runs all-dynamic too, so no pass ever leaves this engine.
 //
 // Cache replay stays in the interpreter's canonical order -- fragment-
 // major, TEX slots in program order within each fragment. Each tile first
@@ -31,8 +35,7 @@
 // (arithmetic recipes in one SIMD loop, dynamic fetches as a byproduct of
 // their resolve), then hands the compacted lane-major tag matrix to
 // TextureCache::ReplaySession::replay_matrix(), whose register-resident
-// probe loop only loads finished tags -- where the compiled engine
-// rebuilds each tag scalar-by-scalar inside its replay loop.
+// probe loop only loads finished tags.
 //
 // A small gather->ALU fusion pass further removes plane traffic: a
 // componentwise ADD/SUB/MUL whose two sources are identity reads of
@@ -41,13 +44,14 @@
 // skip materializing their destination planes entirely (their resolve,
 // replay tags and tile-touch marks are unaffected).
 //
-// Exactness guarantee: identical to compiled_program.hpp's -- outputs,
-// ExecCounters, cache statistics, tile-touch bitmaps and therefore modeled
-// times are bit-identical to the interpreter for any validated program.
-// Configurations the specialized paths cannot reproduce exactly (non-
-// power-of-two cache tiles, non-default tracker tiles, viewports so large
-// the static float-exactness argument fails) fall back to the compiled
-// executor, which shares the same guarantee.
+// Exactness guarantee: for any validated program the outputs,
+// ExecCounters, texture-cache statistics, tile-touch bitmaps and
+// therefore modeled times are bit-identical to the interpreter's. ALU/TEX
+// counters are charged analytically from the original instruction mix,
+// and per-fetch cache/tracker accesses are replayed in the interpreter's
+// fragment-major order after each tile. The executor requires the
+// device's cache geometry: power-of-two cache tiles and 4x4 tile-touch
+// tracker tiles (both asserted).
 #pragma once
 
 #include <cstdint>
@@ -56,6 +60,8 @@
 #include <vector>
 
 #include "gpusim/compiled_program.hpp"
+#include "gpusim/interpreter.hpp"
+#include "gpusim/texture_cache.hpp"
 
 namespace hs::gpusim {
 
@@ -101,7 +107,7 @@ struct SoaProgram {
   std::vector<SoaFetchPlan> fetch;  ///< per fetch slot, program order
   /// Per instruction: 1 = executes in fullscreen-row mode, 0 = its writes
   /// feed only static/uniform fetch coordinates, which the executor
-  /// synthesizes analytically (runtime DCE). Ignored in geometry passes.
+  /// synthesizes analytically (runtime DCE). Ignored in all-dynamic passes.
   std::vector<char> live_fullscreen;
   /// Per instruction: index into `fused` when the instruction carries a
   /// gather->ALU fusion, -1 otherwise. Fusions activate only when every
@@ -124,49 +130,47 @@ struct SoaProgram {
   /// while fusions are active (resolve, tags and marks still run).
   std::vector<char> fetch_store_skip;
   /// Largest |dx| / |dy| (and intermediate folded offset) over static
-  /// plans; bounds the float-exactness guard in run_soa_rows().
+  /// plans; bounds the float-exactness check in run_soa_rows().
   std::int32_t max_abs_offset = 0;
+  /// 1 + the highest temp register the code touches: the executor's
+  /// scratch holds only these registers.
+  int temp_regs = 0;
 };
 
 /// Second-stage lowering. Pure function of the compiled program (texture
 /// shapes and address modes are already part of its specialization key),
-/// so results are cacheable by CompiledProgram identity.
+/// so ProgramCache stores its result under the same key.
 SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled);
 
-/// Small LRU memo of lowered plans keyed by CompiledProgram identity (the
-/// shared_ptr's pointee). ProgramCache entries keep their programs alive
-/// and stable, so pointer identity is a sound key; a recompile after
-/// eviction simply produces a fresh entry.
-class SoaProgramCache {
- public:
-  explicit SoaProgramCache(std::size_t capacity = 32);
+/// A rasterized fragment for geometry passes (see gpusim/raster.hpp):
+/// target pixel plus the interpolated texcoord attributes. Aliased as
+/// Device::GeomFragment.
+struct GeomFragment {
+  int x = 0;
+  int y = 0;
+  float4 texcoord0{};
+  float4 texcoord1{};
+};
 
-  /// Returns the lowered plan, lowering on first use. The shared_ptr keeps
-  /// the plan alive across a concurrent eviction (a draw holds it for the
-  /// whole pass while later draws may churn the cache).
-  std::shared_ptr<const SoaProgram> get(
-      std::shared_ptr<const CompiledProgram> compiled);
-
- private:
-  struct Entry {
-    std::shared_ptr<const SoaProgram> program;  ///< ->compiled is the key
-    std::uint64_t stamp = 0;
-  };
-
-  std::size_t capacity_;
-  std::uint64_t stamp_ = 0;
-  std::vector<Entry> entries_;
+/// Everything one simulated pipe needs to run its slice of a pass.
+struct SoaBindings {
+  std::span<const Texture2D* const> textures;
+  std::span<const std::uint32_t> texture_ids;
+  std::span<Texture2D* const> targets;
+  /// Per-pipe; null disables stats. Its tile size must be a power of two.
+  TextureCache* cache = nullptr;
+  /// Per-pipe; null disables tracking. Its tile size must be 4.
+  TileTouchTracker* tiles = nullptr;
 };
 
 /// Executes rows [y_begin, y_end) of a full-viewport pass (texcoord[0] =
-/// texel center), mirroring run_compiled_rows().
-void run_soa_rows(const SoaProgram& program, const CompiledBindings& bindings,
+/// texel center) and accumulates the analytic counters.
+void run_soa_rows(const SoaProgram& program, const SoaBindings& bindings,
                   int width, int y_begin, int y_end, ExecCounters& counters);
 
-/// Executes an explicit fragment list slice (geometry passes), mirroring
-/// run_compiled_fragments().
+/// Executes an explicit fragment list slice (geometry passes).
 void run_soa_fragments(const SoaProgram& program,
-                       const CompiledBindings& bindings,
+                       const SoaBindings& bindings,
                        std::span<const GeomFragment> fragments,
                        ExecCounters& counters);
 

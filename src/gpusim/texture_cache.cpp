@@ -49,42 +49,6 @@ void TextureCache::insert(Line* base, std::uint64_t tag) {
   victim->lru = ++stamp_;
 }
 
-std::uint64_t TextureCache::access_tags(const std::uint64_t* tags,
-                                        std::size_t n) {
-  std::uint64_t hits = 0;
-  if (ways4_ && set_mask_ != 0) {
-    // Default geometry: everything mutable lives in registers for the run.
-    // Probe order, lru updates and victim choice are exactly those of
-    // access_tag_quiet(), so the eviction sequence is identical.
-    Line* const lines = lines_.data();
-    const std::uint64_t mask = set_mask_;
-    std::uint64_t stamp = stamp_;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t tag = tags[i];
-      const std::uint64_t h = tag * 0x9E3779B97F4A7C15ULL;
-      const std::uint64_t set = (h >> 32) & mask;
-      Line* const p = lines + set * 4;
-      if (p[0].tag == tag) { p[0].lru = ++stamp; ++hits; continue; }
-      if (p[1].tag == tag) { p[1].lru = ++stamp; ++hits; continue; }
-      if (p[2].tag == tag) { p[2].lru = ++stamp; ++hits; continue; }
-      if (p[3].tag == tag) { p[3].lru = ++stamp; ++hits; continue; }
-      Line* v = p;
-      if (p[1].lru < v->lru) v = p + 1;
-      if (p[2].lru < v->lru) v = p + 2;
-      if (p[3].lru < v->lru) v = p + 3;
-      v->tag = tag;
-      v->lru = ++stamp;
-    }
-    stamp_ = stamp;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      hits += access_tag_quiet(tags[i]) ? 1u : 0u;
-    }
-  }
-  add_accesses(n, hits);
-  return hits;
-}
-
 void TextureCache::ReplaySession::replay_matrix(const std::uint64_t* const* rows,
                                                 int na, int lanes) {
   TextureCache& c = cache_;

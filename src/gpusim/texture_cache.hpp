@@ -56,10 +56,10 @@ class TextureCache {
   /// Returns true on hit. Tags are (texture_id, tile_x, tile_y).
   ///
   /// Inline (and with shift/mask fast paths for the common power-of-two
-  /// tile size and set count) because both execution engines call this
-  /// once per texel fetch; it dominates cache-model overhead otherwise.
+  /// tile size and set count) because the interpreter calls this once per
+  /// texel fetch; it dominates cache-model overhead otherwise.
   bool access(std::uint32_t texture_id, int x, int y) {
-    const bool hit = access_quiet(texture_id, x, y);
+    const bool hit = access_tag_quiet(make_tag(texture_id, x, y));
     ++stats_.accesses;
     if (hit) {
       ++stats_.hits;
@@ -67,14 +67,6 @@ class TextureCache {
       ++stats_.misses;
     }
     return hit;
-  }
-
-  /// access() without the statistics updates: same tag/set/LRU behaviour,
-  /// same eviction sequence. Batch callers (the compiled engine's fetch
-  /// replay) count hits themselves and settle once via add_accesses(),
-  /// keeping per-pass statistics identical to per-call access().
-  bool access_quiet(std::uint32_t texture_id, int x, int y) {
-    return access_tag_quiet(make_tag(texture_id, x, y));
   }
 
   /// The packed (texture, tile_y, tile_x) line tag of texel (x, y); widths
@@ -95,8 +87,10 @@ class TextureCache {
            tile_x;
   }
 
-  /// access_quiet() on a tag built by make_tag() (or equivalently, by the
-  /// caller from tile_shift() and the id shifted into bits 48+).
+  /// access() without the statistics updates, on a tag built by
+  /// make_tag() (or equivalently, by the caller from tile_shift() and the
+  /// id shifted into bits 48+): same set/LRU behaviour, same eviction
+  /// sequence.
   bool access_tag_quiet(std::uint64_t tag) {
     // Index hash mixes tile coordinates and texture id so band-stack textures
     // accessed in lockstep do not all collide in one set.
@@ -178,20 +172,13 @@ class TextureCache {
     std::uint64_t hits_ = 0;
   };
 
-  /// Settles statistics for `count` access_quiet() calls of which `hits`
-  /// hit; access() == access_quiet() + add_accesses(1, hit).
+  /// Settles statistics for `count` access_tag_quiet() probes of which
+  /// `hits` hit; access() == access_tag_quiet() + add_accesses(1, hit).
   void add_accesses(std::uint64_t count, std::uint64_t hits) {
     stats_.accesses += count;
     stats_.hits += hits;
     stats_.misses += count - hits;
   }
-
-  /// Probes `n` pre-built tags in order and settles statistics once;
-  /// equivalent to n access_tag_quiet() calls + add_accesses(). The batch
-  /// form keeps the recency stamp and line array in registers across the
-  /// whole run (per-call, the lru stores force the member to be reloaded).
-  /// Returns the number of hits.
-  std::uint64_t access_tags(const std::uint64_t* tags, std::size_t n);
 
   void flush();
 

@@ -250,7 +250,7 @@ class Server : public JobBackend {
   ServerOptions options_;
   cache::ResultCache result_cache_;
   cache::SceneCache scene_cache_;
-  /// Cross-worker compiled-program store handed to every pipeline run via
+  /// Cross-worker lowered-program store handed to every pipeline run via
   /// SimConfig::shared_programs -- always on (its cost is one mutex).
   std::shared_ptr<gpusim::SharedProgramStore> shared_programs_;
   mutable std::mutex mu_;

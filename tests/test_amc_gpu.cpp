@@ -64,15 +64,15 @@ TEST(AmcGpu, ChunkedRunMatchesUnchunked) {
 TEST(AmcGpu, ExecutionEnginesAreBitIdentical) {
   // The full pipeline -- every shader, chunking, ping-pong loops -- must
   // produce identical outputs AND identical modeled statistics under the
-  // interpreter and the compiled engine.
+  // interpreter and the default engine.
   const auto cube = random_cube(14, 11, 10, 6);
   const StructuringElement se = StructuringElement::square(1);
   AmcGpuOptions interp = fast_options();
   interp.sim.exec_engine = gpusim::ExecEngine::Interpreter;
-  AmcGpuOptions compiled = fast_options();
-  compiled.sim.exec_engine = gpusim::ExecEngine::Compiled;
+  const AmcGpuOptions fast = fast_options();
+  ASSERT_NE(fast.sim.exec_engine, gpusim::ExecEngine::Interpreter);
   const AmcGpuReport a = morphology_gpu(cube, se, interp);
-  const AmcGpuReport b = morphology_gpu(cube, se, compiled);
+  const AmcGpuReport b = morphology_gpu(cube, se, fast);
 
   ASSERT_EQ(a.morph.mei.size(), b.morph.mei.size());
   for (std::size_t i = 0; i < a.morph.mei.size(); ++i) {

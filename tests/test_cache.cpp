@@ -21,6 +21,7 @@
 #include "core/unmix_gpu.hpp"
 #include "gpusim/assembler.hpp"
 #include "gpusim/compiled_program.hpp"
+#include "gpusim/soa_program.hpp"
 #include "gpusim/device_profile.hpp"
 #include "gpusim/gpu_device.hpp"
 #include "hsi/synthetic.hpp"
@@ -415,8 +416,8 @@ TEST(CacheProgramStore, ConcurrentLookupsShareOneCompilation) {
 
   constexpr int kThreads = 4;
   constexpr int kIters = 200;
-  std::vector<std::shared_ptr<const gpusim::CompiledProgram>> seen0(kThreads);
-  std::vector<std::shared_ptr<const gpusim::CompiledProgram>> seen1(kThreads);
+  std::vector<std::shared_ptr<const gpusim::SoaProgram>> seen0(kThreads);
+  std::vector<std::shared_ptr<const gpusim::SoaProgram>> seen1(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {

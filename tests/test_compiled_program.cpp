@@ -1,7 +1,7 @@
-// Unit tests for the pre-decoded execution engine's compiler
-// (compiled_program.hpp): constant folding, dead-write elimination, the
-// program cache's keying and LRU policy, and bit-identity of the compiled
-// fast paths against the interpreter on hand-built corner-case programs.
+// Unit tests for the first lowering stage (compiled_program.hpp): constant
+// folding, dead-write elimination, the program cache's keying and LRU
+// policy, and bit-identity of the SoA engine's fast paths against the
+// interpreter on hand-built corner-case programs.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -241,10 +241,10 @@ TEST(ProgramCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.misses(), 4u);
 }
 
-// ---- compiled-vs-interpreter corner cases ----------------------------------
+// ---- SoA-vs-interpreter corner cases ---------------------------------------
 
 struct MiniPass {
-  static constexpr int kW = 70;  // crosses the 64-fragment tile boundary
+  static constexpr int kW = 260;  // crosses the 256-fragment tile boundary
   static constexpr int kH = 5;
 
   /// Draws `p` under both engines over identical random-ish inputs and
@@ -255,7 +255,7 @@ struct MiniPass {
     profile.fragment_pipes = 2;
     SimConfig ci, cc;
     ci.exec_engine = ExecEngine::Interpreter;
-    cc.exec_engine = ExecEngine::Compiled;
+    cc.exec_engine = ExecEngine::Soa;
     Device di(profile, ci), dc(profile, cc);
 
     std::vector<float4> data(kW * kH);
@@ -347,7 +347,7 @@ TEST(CompiledEngine, DeviceCountersUnaffectedByDce) {
   // A program with a dead write still reports the interpreter's counters.
   DeviceProfile profile = geforce_7800_gtx();
   profile.fragment_pipes = 2;
-  Device dev(profile);  // compiled engine is the default
+  Device dev(profile);  // the SoA engine is the default
   const TextureHandle out = dev.create_texture(8, 8, TextureFormat::RGBA32F);
   const FragmentProgram p = make_program({
       ins1(Opcode::MOV, RegFile::Temp, 0, 0xF, lit_src({1, 1, 1, 1})),  // dead

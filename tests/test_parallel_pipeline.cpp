@@ -213,16 +213,23 @@ TEST(ParallelPipeline, UnmixBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+/// The sequential reference-engine run the SoA tests compare against.
+AmcGpuOptions interpreter_options() {
+  AmcGpuOptions opt = chunked_options(1);
+  opt.sim.exec_engine = gpusim::ExecEngine::Interpreter;
+  return opt;
+}
+
 TEST(ParallelPipeline, SoaEngineBitIdenticalAcrossWorkerCounts) {
-  // The SoA engine must reproduce the default (compiled) engine bit for
-  // bit at every worker count: engine choice and chunk parallelism are
-  // both invisible to outputs, counters, cache statistics and modeled
-  // time. workers = 1 pins the sequential SoA run itself to the compiled
+  // The SoA engine must reproduce the sequential interpreter bit for bit
+  // at every worker count: engine choice and chunk parallelism are both
+  // invisible to outputs, counters, cache statistics and modeled time.
+  // workers = 1 pins the sequential SoA run itself to the interpreter
   // baseline; 7 covers the ragged final wave.
   const auto cube = random_cube(24, 18, 8, 11);
   const StructuringElement se = StructuringElement::square(1);
 
-  const AmcGpuReport base = morphology_gpu(cube, se, chunked_options(1));
+  const AmcGpuReport base = morphology_gpu(cube, se, interpreter_options());
   ASSERT_GE(base.chunk_count, 5u) << "scene must split into several chunks";
 
   for (std::size_t workers : {1u, 2u, 4u, 7u}) {
@@ -244,8 +251,8 @@ TEST(ParallelPipeline, SoaUnmixBitIdenticalAcrossWorkerCounts) {
     const auto spectrum = random_cube(1, 1, 8, 100 + static_cast<std::uint64_t>(k));
     endmembers.emplace_back(spectrum.raw().begin(), spectrum.raw().end());
   }
-  const GpuUnmixReport base =
-      unmix_gpu(cube, endmembers, chunked_options(1), /*download_abundances=*/true);
+  const GpuUnmixReport base = unmix_gpu(cube, endmembers, interpreter_options(),
+                                       /*download_abundances=*/true);
   ASSERT_GT(base.chunk_count, 1u);
 
   for (std::size_t workers : {1u, 2u, 4u, 7u}) {

@@ -3,13 +3,16 @@
 //   * the interpreter executes any valid program without faulting and its
 //     counters always reconcile with the program's static instruction mix;
 //   * device passes never write outside their render targets;
-//   * differential: the compiled and SoA engines reproduce the
-//     interpreter bit-for-bit -- outputs, counters, cache statistics,
-//     modeled time -- on fullscreen and geometry passes alike.
+//   * differential: the SoA engine reproduces the interpreter bit-for-bit
+//     -- outputs, counters, cache statistics, modeled time -- on
+//     fullscreen and geometry passes alike, including viewports past the
+//     SoA static plans' float-exactness bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <span>
 #include <utility>
 
 #include "gpusim/assembler.hpp"
@@ -25,7 +28,7 @@ namespace {
 /// texcoords / literals, and the last instruction writes the output.
 /// With `partial_masks`, extra partially-masked overwrites of live temps
 /// and of the output are interleaved (always valid: the overwritten temp
-/// is already fully initialized) -- these exercise the compiled engine's
+/// is already fully initialized) -- these exercise the lowering's
 /// write-mask handling and dead-write elimination.
 FragmentProgram random_program(util::Xoshiro256& rng, int max_ops,
                                int bound_textures,
@@ -219,21 +222,18 @@ TEST_P(ProgramFuzz, DevicePassesRunToCompletion) {
 
 // ---- engine differential --------------------------------------------------
 //
-// Three devices, identical in everything but the execution engine, are
-// fed identical programs, constants and texture contents. The compiled
-// and SoA engines must each reproduce the interpreter *bit for bit*: raw
-// output texels (memcmp, so NaNs compare too), execution counters,
-// texture-cache hit/miss statistics (LRU-order sensitive), unique-tile
-// traffic and modeled time.
+// Two devices, identical in everything but the execution engine, are fed
+// identical programs, constants and texture contents. The SoA engine must
+// reproduce the interpreter *bit for bit*: raw output texels (memcmp, so
+// NaNs compare too), execution counters, texture-cache hit/miss
+// statistics (LRU-order sensitive), unique-tile traffic and modeled time.
 
-struct EngineTrio {
+struct EnginePair {
   Device interp;
-  Device compiled;
   Device soa;
 
-  explicit EngineTrio(int pipes)
+  explicit EnginePair(int pipes)
       : interp(profile_for(pipes), config_for(ExecEngine::Interpreter)),
-        compiled(profile_for(pipes), config_for(ExecEngine::Compiled)),
         soa(profile_for(pipes), config_for(ExecEngine::Soa)) {}
 
   static DeviceProfile profile_for(int pipes) {
@@ -274,13 +274,16 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
   util::Xoshiro256 rng(GetParam() ^ 0xD1FFULL);
   const AddressMode modes[] = {AddressMode::ClampToEdge, AddressMode::Repeat,
                                AddressMode::ClampToBorder};
-  // Widths beyond kExecTileWidth exercise multi-tile rows; odd shapes
-  // exercise the partial final tile and uneven pipe partitions.
-  const std::pair<int, int> shapes[] = {{8, 8}, {70, 9}, {5, 3}, {64, 4}};
-  for (int trial = 0; trial < 8; ++trial) {
+  // Widths beyond the SoA engine's 256-fragment tile exercise multi-tile
+  // rows; odd shapes exercise the partial final tile and uneven pipe
+  // partitions.
+  const std::pair<int, int> shapes[] = {{8, 8},   {70, 9},   {5, 3},
+                                        {64, 4},  {300, 5},  {513, 2}};
+  constexpr int kShapes = static_cast<int>(std::size(shapes));
+  for (int trial = 0; trial < 2 * kShapes; ++trial) {
     const int pipes = 1 + static_cast<int>(rng.uniform_int(4));
-    EngineTrio trio(pipes);
-    const auto [w, h] = shapes[trial % 4];
+    EnginePair pair(pipes);
+    const auto [w, h] = shapes[trial % kShapes];
     const AddressMode mode_a = modes[rng.uniform_int(3)];
     const AddressMode mode_b = modes[rng.uniform_int(3)];
 
@@ -294,9 +297,9 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
     }
     for (auto& v : data_b) v = static_cast<float>(rng.uniform(-4, 4));
 
-    TextureHandle in_a[3], in_b[3], out[3];
-    Device* devs[3] = {&trio.interp, &trio.compiled, &trio.soa};
-    for (int d = 0; d < 3; ++d) {
+    TextureHandle in_a[2], in_b[2], out[2];
+    Device* devs[2] = {&pair.interp, &pair.soa};
+    for (int d = 0; d < 2; ++d) {
       in_a[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F, mode_a);
       in_b[d] = devs[d]->create_texture(w, h, TextureFormat::R32F, mode_b);
       out[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F);
@@ -312,19 +315,16 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
     const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
                                  {-1, 0, 1, 2}, {4, 3, 2, 1}};
     for (int repeat = 0; repeat < 2; ++repeat) {  // second draw hits the cache
-      PassStats stats[3];
-      for (int d = 0; d < 3; ++d) {
+      PassStats stats[2];
+      for (int d = 0; d < 2; ++d) {
         const TextureHandle ins[2] = {in_a[d], in_b[d]};
         const TextureHandle outs[1] = {out[d]};
         stats[d] = devs[d]->draw(p, ins, constants, outs);
       }
-      for (int d = 1; d < 3; ++d) {
-        expect_identical_stats(stats[0], stats[d]);
-        expect_identical_texels(trio.interp, out[0], *devs[d], out[d]);
-      }
+      expect_identical_stats(stats[0], stats[1]);
+      expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
     }
-    EXPECT_GE(trio.compiled.program_cache().hits(), 1u);
-    EXPECT_GE(trio.soa.program_cache().hits(), 1u);
+    EXPECT_GE(pair.soa.program_cache().hits(), 1u);
   }
 }
 
@@ -332,7 +332,7 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnGeometryPasses) {
   util::Xoshiro256 rng(GetParam() ^ 0x6E0ULL);
   for (int trial = 0; trial < 6; ++trial) {
     const int pipes = 1 + static_cast<int>(rng.uniform_int(4));
-    EngineTrio trio(pipes);
+    EnginePair pair(pipes);
     const int w = 17, h = 11;
 
     std::vector<float4> data(static_cast<std::size_t>(w) * h);
@@ -343,9 +343,9 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnGeometryPasses) {
            static_cast<float>(rng.uniform(-4, 4))};
     }
 
-    TextureHandle in[3], out[3];
-    Device* devs[3] = {&trio.interp, &trio.compiled, &trio.soa};
-    for (int d = 0; d < 3; ++d) {
+    TextureHandle in[2], out[2];
+    Device* devs[2] = {&pair.interp, &pair.soa};
+    for (int d = 0; d < 2; ++d) {
       in[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F,
                                       AddressMode::Repeat);
       out[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F);
@@ -366,17 +366,55 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnGeometryPasses) {
         random_program(rng, 16, 1, /*partial_masks=*/true);
     const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
                                  {-1, 0, 1, 2}, {4, 3, 2, 1}};
-    PassStats stats[3];
-    for (int d = 0; d < 3; ++d) {
+    PassStats stats[2];
+    for (int d = 0; d < 2; ++d) {
       const TextureHandle ins[1] = {in[d]};
       const TextureHandle outs[1] = {out[d]};
       stats[d] = devs[d]->draw_fragments(p, frags, ins, constants, outs);
     }
-    for (int d = 1; d < 3; ++d) {
-      expect_identical_stats(stats[0], stats[d]);
-      expect_identical_texels(trio.interp, out[0], *devs[d], out[d]);
-    }
+    expect_identical_stats(stats[0], stats[1]);
+    expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
   }
+}
+
+TEST(ProgramFuzzDirected, WideViewportPastExactBoundMatchesInterpreter) {
+  // A viewport wider than 2^21 texels is past the bound inside which the
+  // SoA static fetch plans are provably exact, so the SoA engine runs the
+  // pass all-dynamic. The neighbor-offset program below would otherwise
+  // take the static plans; results must still match the interpreter.
+  constexpr int kW = (1 << 21) + 8;
+  const FragmentProgram p = assemble_or_die(
+      "wide_neighbors",
+      "!!HSFP1.0\n"
+      "ADD R0, fragment.texcoord[0], c[0];\n"
+      "TEX R1, R0, texture[0];\n"
+      "SUB R2, fragment.texcoord[0], c[1];\n"
+      "TEX R3, R2, texture[0];\n"
+      "TEX R4, fragment.texcoord[0], texture[0];\n"
+      "ADD R5, R1, R3;\n"
+      "MAD result.color, R4, c[2], R5;\n"
+      "END\n");
+  const float4 constants[3] = {{-3, 0, 0, 0}, {-2, 0, 0, 0}, {0.5f, 0, 0, 0}};
+  std::vector<float> data(static_cast<std::size_t>(kW));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<float>(i % 1021) * 0.125f - 17.f;
+  }
+
+  EnginePair pair(2);
+  TextureHandle out[2];
+  PassStats stats[2];
+  Device* devs[2] = {&pair.interp, &pair.soa};
+  for (int d = 0; d < 2; ++d) {
+    const TextureHandle in = devs[d]->create_texture(kW, 1, TextureFormat::R32F);
+    out[d] = devs[d]->create_texture(kW, 1, TextureFormat::R32F);
+    devs[d]->upload(in, std::span<const float>(data));
+    const TextureHandle ins[1] = {in};
+    const TextureHandle outs[1] = {out[d]};
+    stats[d] = devs[d]->draw(p, ins, constants, outs);
+  }
+  EXPECT_EQ(stats[0].fragments, static_cast<std::uint64_t>(kW));
+  expect_identical_stats(stats[0], stats[1]);
+  expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz,

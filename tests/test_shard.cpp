@@ -325,6 +325,16 @@ TEST(ShardRouterE2E, TwoShardsMatchTheSingleProcessWitness) {
   TempDir dir;
   Router router(e2e_options(dir, 2));
   router.start();
+  // start() returns once one shard is up, and jobs route at submit time,
+  // so wait for the second shard: otherwise a slow spawn sends every job
+  // to the first one and the both-shards-worked check below fails.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (router.alive_shards() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    ::usleep(10000);
+  }
+  ASSERT_EQ(router.alive_shards(), 2u);
   std::vector<std::uint64_t> ids;
   for (const serve::JobSpec& s : specs) {
     const serve::Submitted sub = router.submit(s);

@@ -84,8 +84,8 @@ int run(int argc, char** argv) {
   cli.add_flag("se", "structuring element radius", "1");
   cli.add_flag("budget", "chunk texel budget (0 = auto)", "0");
   cli.add_flag("half", "half-precision stream textures", "false");
-  cli.add_flag("engine", "fragment engine: compiled | soa | interpreter",
-               "compiled");
+  cli.add_flag("engine", "fragment engine: soa | interpreter",
+               gpusim::exec_engine_name(gpusim::SimConfig{}.exec_engine));
   cli.add_flag("workers", "chunk-parallel workers (0 = one per host cpu)", "1");
   cli.add_flag("trace", "Chrome trace-event JSON output path", "");
   cli.add_flag("metrics", "metrics JSON output path", "");
@@ -139,7 +139,8 @@ int run(int argc, char** argv) {
   opt.chunk_texel_budget = static_cast<std::uint64_t>(budget);
   opt.half_precision = cli.get_bool("half", false);
   opt.workers = static_cast<std::size_t>(workers);
-  const std::string engine = cli.get("engine", "compiled");
+  const std::string engine =
+      cli.get("engine", gpusim::exec_engine_name(opt.sim.exec_engine));
   if (!gpusim::parse_exec_engine(engine, opt.sim.exec_engine)) {
     std::cerr << "hsi-profile: unknown --engine '" << engine << "'\n";
     return 1;
