@@ -231,17 +231,23 @@ BENCHMARK(BM_HalfQuantize);
 //
 // Runs the interpreter and the SoA engine on the pipeline's two heaviest
 // shaders over a 256x256 viewport (the scale of one AMC chunk slice),
-// checks that output texels and pass statistics are bit-identical, then
-// times both. This measures pure host-side simulation throughput.
+// checks that output texels and pass statistics are bit-identical (on the
+// first draw and on the last timed redraw), then times both. This
+// measures pure host-side simulation throughput.
 //
 // The SoA engine is also timed with the texture-cache model off: cache
 // replay walks the interpreter's canonical probe sequence, so the
 // cache-on and cache-off times together show how much of a pass is
-// replay.
+// replay. SID's fetches are all static, so the device replays its first
+// draw and reuses the recorded cache totals on every redraw (the replay
+// memo); MEI's dependent fetch replays on every draw. The first SoA draw
+// -- lowering plus the recording replay -- is timed on its own, outside
+// the best-of loop.
 
 struct EngineTiming {
   double interp_seconds = 0;
   double soa_seconds = 0;
+  double soa_first_seconds = 0;  ///< cache on, first draw only
   double soa_nocache_seconds = 0;
   double modeled_seconds = 0;  ///< identical for both engines
   bool identical = false;      ///< texels and PassStats bit-equal
@@ -254,17 +260,14 @@ struct EngineTiming {
 /// One pass's observable result: the raw output texels and statistics.
 struct PassOutcome {
   std::vector<float> texels;
-  gpusim::PassStats stats;
-  double seconds = 0;  ///< best-of-reps wall time
+  gpusim::PassStats stats;       ///< first draw
+  gpusim::PassStats last_stats;  ///< last timed redraw
+  double first_seconds = 0;      ///< first draw wall time
+  double seconds = 0;            ///< best-of-reps redraw wall time
 };
 
-bool same_outcome(const PassOutcome& a, const PassOutcome& b) {
-  const gpusim::PassStats& x = a.stats;
-  const gpusim::PassStats& y = b.stats;
-  return a.texels.size() == b.texels.size() &&
-         std::memcmp(a.texels.data(), b.texels.data(),
-                     a.texels.size() * sizeof(float)) == 0 &&
-         x.fragments == y.fragments &&
+bool same_stats(const gpusim::PassStats& x, const gpusim::PassStats& y) {
+  return x.fragments == y.fragments &&
          x.exec.alu_instructions == y.exec.alu_instructions &&
          x.exec.tex_fetches == y.exec.tex_fetches &&
          x.exec.tex_fetch_bytes == y.exec.tex_fetch_bytes &&
@@ -274,6 +277,13 @@ bool same_outcome(const PassOutcome& a, const PassOutcome& b) {
          x.unique_tile_bytes == y.unique_tile_bytes &&
          x.bytes_written == y.bytes_written &&
          x.modeled_seconds == y.modeled_seconds;
+}
+
+bool same_outcome(const PassOutcome& a, const PassOutcome& b) {
+  return a.texels.size() == b.texels.size() &&
+         std::memcmp(a.texels.data(), b.texels.data(),
+                     a.texels.size() * sizeof(float)) == 0 &&
+         same_stats(a.stats, b.stats) && same_stats(a.last_stats, b.last_stats);
 }
 
 PassOutcome run_engine(gpusim::ExecEngine engine, bool texture_cache,
@@ -312,7 +322,9 @@ PassOutcome run_engine(gpusim::ExecEngine engine, bool texture_cache,
   const gpusim::TextureHandle outs[1] = {out};
 
   PassOutcome outcome;
+  util::Timer first;
   outcome.stats = dev.draw(program, ins, constants, outs);  // warm-up (and lower)
+  outcome.first_seconds = first.seconds();
   outcome.texels = dev.texture(out).raw();
   // Best-of-reps: a loaded machine only ever inflates a wall-clock
   // sample, so the minimum is the most repeatable throughput estimate
@@ -320,7 +332,7 @@ PassOutcome run_engine(gpusim::ExecEngine engine, bool texture_cache,
   outcome.seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     util::Timer wall;
-    (void)dev.draw(program, ins, constants, outs);
+    outcome.last_stats = dev.draw(program, ins, constants, outs);
     outcome.seconds = std::min(outcome.seconds, wall.seconds());
   }
   return outcome;
@@ -340,6 +352,7 @@ EngineTiming time_engines(const gpusim::FragmentProgram& program,
   EngineTiming timing;
   timing.interp_seconds = interp.seconds;
   timing.soa_seconds = soa.seconds;
+  timing.soa_first_seconds = soa.first_seconds;
   timing.soa_nocache_seconds = soa_nocache.seconds;
   timing.modeled_seconds = interp.stats.modeled_seconds;
   timing.identical = same_outcome(interp, soa);
@@ -370,11 +383,12 @@ bool run_engine_comparison(const std::string& json_path) {
   const EngineTiming t_mei = time_engines(
       mei, {TF::RGBA32F, TF::RGBA32F, TF::RGBA32F, TF::R32F}, {}, kSize, kReps);
 
-  util::Table table({"Shader", "interpreter", "soa", "soa (cache off)",
-                     "interp/soa", "bit-identical"});
+  util::Table table({"Shader", "interpreter", "soa", "soa (first draw)",
+                     "soa (cache off)", "interp/soa", "bit-identical"});
   auto add_row = [&table](const std::string& name, const EngineTiming& t) {
     table.add_row({name, util::format_duration(t.interp_seconds),
                    util::format_duration(t.soa_seconds),
+                   util::format_duration(t.soa_first_seconds),
                    util::format_duration(t.soa_nocache_seconds),
                    util::Table::num(t.speedup(), 2) + "x",
                    t.identical ? "yes" : "NO"});
@@ -391,6 +405,7 @@ bool run_engine_comparison(const std::string& json_path) {
     auto emit = [&report](const std::string& bench, const EngineTiming& t) {
       report.add(bench, "wall_seconds_interpreter", t.interp_seconds);
       report.add(bench, "wall_seconds_soa", t.soa_seconds);
+      report.add(bench, "wall_seconds_soa_first", t.soa_first_seconds);
       report.add(bench, "wall_seconds_soa_nocache", t.soa_nocache_seconds);
       report.add(bench, "speedup", t.speedup());
       report.add(bench, "bit_identical", t.identical ? 1 : 0);

@@ -175,6 +175,14 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
       std::max<std::size_t>(1, plan.chunks.size()),
       stream::resolve_workers(options.workers));
   gpusim::SimConfig worker_sim = options.sim;
+  // The weighted-sum shader is specialized per (endmember, band group)
+  // weight constant, so the program cache must hold all c * groups of
+  // them plus the fixed programs. Otherwise the per-chunk loop thrashes
+  // it, and every pass lowers again and replays in full instead of
+  // reusing the device's replay memo.
+  worker_sim.program_cache_capacity =
+      std::max(worker_sim.program_cache_capacity,
+               static_cast<std::size_t>(c * groups + 8));
   if (workers > 1 && options.sim.worker_threads == 0) {
     worker_sim.worker_threads = stream::per_worker_device_threads(
         util::ThreadPool::clamp_to_hardware(

@@ -343,6 +343,24 @@ SharedProgramStore::Stats SharedProgramStore::stats() const {
   return s;
 }
 
+// ---- replay memo -----------------------------------------------------------
+
+const PassCacheTotals* ReplayMemo::find(int width, int height,
+                                        const Alias& alias) const {
+  for (const Record& r : records_) {
+    if (r.width == width && r.height == height && r.alias == alias) {
+      return &r.totals;
+    }
+  }
+  return nullptr;
+}
+
+void ReplayMemo::record(int width, int height, const Alias& alias,
+                        const PassCacheTotals& totals) {
+  if (records_.size() >= kMaxRecords) records_.erase(records_.begin());
+  records_.push_back(Record{width, height, alias, totals});
+}
+
 // ---- program cache ---------------------------------------------------------
 
 ProgramCache::ProgramCache(std::size_t capacity)
@@ -353,7 +371,7 @@ ProgramCache::ProgramCache(std::size_t capacity)
 
 std::shared_ptr<const SoaProgram> ProgramCache::get(
     const FragmentProgram& program, std::span<const float4> constants,
-    std::span<const Texture2D* const> textures) {
+    std::span<const Texture2D* const> textures, ReplayMemo** memo) {
   std::vector<std::uint8_t> key = make_key(program, constants, textures);
   const std::uint64_t hash = fnv1a(key);
   for (Entry& e : entries_) {
@@ -361,6 +379,7 @@ std::shared_ptr<const SoaProgram> ProgramCache::get(
       ++hits_;
       trace_hits_->increment();
       e.stamp = ++stamp_;
+      if (memo != nullptr) *memo = e.memo.get();
       return e.program;
     }
   }
@@ -381,6 +400,8 @@ std::shared_ptr<const SoaProgram> ProgramCache::get(
   e.program = shared_store_
                   ? shared_store_->get_or_compile(program, constants, textures)
                   : lower(program, constants, textures);
+  e.memo = std::make_unique<ReplayMemo>();
+  if (memo != nullptr) *memo = e.memo.get();
   entries_.push_back(std::move(e));
   return entries_.back().program;
 }

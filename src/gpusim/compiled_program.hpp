@@ -27,6 +27,8 @@
 //
 // ProgramCache (per device) and SharedProgramStore (across devices) hold
 // the fully lowered SoaProgram, keyed by the exact specialization bytes.
+// Each ProgramCache entry also carries the device's ReplayMemo for that
+// program, so recorded cache statistics leave with the evicted program.
 #pragma once
 
 #include <array>
@@ -39,6 +41,7 @@
 
 #include "gpusim/fragment_ir.hpp"
 #include "gpusim/texture.hpp"
+#include "gpusim/texture_cache.hpp"
 #include "trace/trace.hpp"
 
 namespace hs::gpusim {
@@ -156,6 +159,42 @@ class SharedProgramStore {
   trace::Counter* trace_evictions_;
 };
 
+/// Modeled texture-cache totals of one pass, summed over its pipes.
+struct PassCacheTotals {
+  TextureCacheStats cache;
+  std::uint64_t miss_bytes = 0;
+  std::uint64_t unique_tile_bytes = 0;  ///< compulsory DRAM texture traffic
+};
+
+/// Cache totals recorded for one lowered program's data-independent
+/// fullscreen passes (SoaProgram::data_independent_fetches), keyed by
+/// what else the totals depend on: the viewport and which bound units
+/// share a texture. Device::draw() records on the first such pass and
+/// reuses the totals on every later one instead of replaying. Per
+/// device, and bounded: the oldest record goes once kMaxRecords are held.
+class ReplayMemo {
+ public:
+  /// Per texture unit, the first unit bound to the same texture; a unit
+  /// past the bound inputs maps to itself. Ping-pong passes that swap
+  /// texture ids keep their pattern.
+  using Alias = std::array<std::uint8_t, kMaxTexUnits>;
+
+  const PassCacheTotals* find(int width, int height, const Alias& alias) const;
+  void record(int width, int height, const Alias& alias,
+              const PassCacheTotals& totals);
+
+ private:
+  static constexpr std::size_t kMaxRecords = 8;
+
+  struct Record {
+    int width = 0;
+    int height = 0;
+    Alias alias{};
+    PassCacheTotals totals;
+  };
+  std::vector<Record> records_;
+};
+
 /// LRU cache of lowered programs, keyed by the exact specialization
 /// inputs: the instruction stream, the values of every referenced
 /// constant, and the shape/format/addressing of every sampled texture
@@ -174,10 +213,12 @@ class ProgramCache {
   }
 
   /// The owning pointer keeps the plan alive for a whole draw even if a
-  /// later lookup evicts it.
+  /// later lookup evicts it. `memo`, when given, receives the entry's
+  /// replay memo, valid until the next get().
   std::shared_ptr<const SoaProgram> get(
       const FragmentProgram& program, std::span<const float4> constants,
-      std::span<const Texture2D* const> textures);
+      std::span<const Texture2D* const> textures,
+      ReplayMemo** memo = nullptr);
 
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -193,6 +234,8 @@ class ProgramCache {
     /// Stable across eviction; shared with (and possibly owned by) the
     /// cross-device store.
     std::shared_ptr<const SoaProgram> program;
+    /// This device's recorded replays of `program`; dies with the entry.
+    std::unique_ptr<ReplayMemo> memo;
   };
 
   std::size_t capacity_;

@@ -16,10 +16,14 @@ std::size_t resolve_threads(const SimConfig& config, int pipes) {
 }
 
 /// Attaches the pass statistics to its trace span: the modeled time next
-/// to the span's own wall duration, the work counters, and both DRAM
-/// traffic estimates (cache-miss bytes and compulsory unique-tile bytes).
-void annotate_pass_span(trace::Span& span, const PassStats& stats) {
+/// to the span's own wall duration, the work counters, both DRAM traffic
+/// estimates (cache-miss bytes and compulsory unique-tile bytes) and, with
+/// the cache model on, how the cache totals were obtained (`replay`:
+/// "full" replay or reused from the "memo").
+void annotate_pass_span(trace::Span& span, const PassStats& stats,
+                        const char* replay) {
   if (!span.active()) return;
+  if (replay != nullptr) span.arg("replay", replay);
   span.arg("width", stats.width);
   span.arg("height", stats.height);
   span.arg("fragments", static_cast<double>(stats.fragments));
@@ -31,6 +35,22 @@ void annotate_pass_span(trace::Span& span, const PassStats& stats) {
   span.arg("dram_tile_bytes", static_cast<double>(stats.unique_tile_bytes));
   span.arg("bytes_written", static_cast<double>(stats.bytes_written));
   span.arg("modeled_us", stats.modeled_seconds * 1e6);
+}
+
+/// The ReplayMemo::Alias of a binding. Ids compare as the cache's tags
+/// hold them, shifted into bits 48+.
+ReplayMemo::Alias unit_alias(std::span<const std::uint32_t> ids) {
+  ReplayMemo::Alias alias;
+  for (std::size_t u = 0; u < alias.size(); ++u) {
+    alias[u] = static_cast<std::uint8_t>(u);
+    for (std::size_t v = 0; v < u && u < ids.size(); ++v) {
+      if (std::uint64_t{ids[v]} << 48 == std::uint64_t{ids[u]} << 48) {
+        alias[u] = static_cast<std::uint8_t>(v);
+        break;
+      }
+    }
+  }
+  return alias;
 }
 }  // namespace
 
@@ -57,6 +77,8 @@ Device::Device(DeviceProfile profile, SimConfig config)
     : profile_(std::move(profile)),
       config_(config),
       program_cache_(config.program_cache_capacity),
+      trace_memo_hits_(&trace::counter("gpusim.replay_memo.hit")),
+      trace_memo_misses_(&trace::counter("gpusim.replay_memo.miss")),
       pool_(resolve_threads(config, profile_.fragment_pipes)) {
   HS_ASSERT(profile_.fragment_pipes > 0);
   program_cache_.set_shared_store(config_.shared_programs);
@@ -271,39 +293,27 @@ SoaBindings Device::soa_bindings(const BoundPass& bound, std::size_t pipe,
   b.textures = bound.inputs;
   b.texture_ids = bound.input_ids;
   b.targets = bound.targets;
-  b.cache = config_.texture_cache ? &pipe_caches_[pipe] : nullptr;
-  b.tiles = config_.texture_cache ? &pipe_tiles[pipe] : nullptr;
+  // No trackers means no replay this pass: the cache model is off, or
+  // draw() reuses memoized totals.
+  b.cache = pipe_tiles.empty() ? nullptr : &pipe_caches_[pipe];
+  b.tiles = pipe_tiles.empty() ? nullptr : &pipe_tiles[pipe];
   return b;
 }
 
-PassStats Device::finalize_pass(const FragmentProgram& program,
-                                const BoundPass& bound, std::uint64_t fragments,
-                                std::span<const ExecCounters> pipe_counters,
-                                std::span<const TileTouchTracker> pipe_tiles) {
+PassCacheTotals Device::collect_cache_totals(
+    const BoundPass& bound, std::span<const TileTouchTracker> pipe_tiles) {
+  PassCacheTotals totals;
+  if (!config_.texture_cache) return totals;
   const int pipes = profile_.fragment_pipes;
-
-  PassStats stats;
-  stats.program = program.name;
-  stats.width = bound.width;
-  stats.height = bound.height;
-  stats.fragments = fragments;
-  for (int p = 0; p < pipes; ++p) {
-    stats.exec += pipe_counters[static_cast<std::size_t>(p)];
-    if (config_.texture_cache) {
-      stats.cache += pipe_caches_[static_cast<std::size_t>(p)].stats();
-      stats.cache_miss_bytes +=
-          pipe_caches_[static_cast<std::size_t>(p)].stats().miss_bytes(
-              pipe_caches_[static_cast<std::size_t>(p)].config());
-      pipe_caches_[static_cast<std::size_t>(p)].reset_stats();
-    }
-  }
-  for (const Texture2D* t : bound.targets) {
-    stats.bytes_written += stats.fragments * bytes_per_texel(t->format());
+  for (TextureCache& cache : pipe_caches_) {
+    totals.cache += cache.stats();
+    totals.miss_bytes += cache.stats().miss_bytes(cache.config());
+    cache.reset_stats();
   }
 
   // Merge the per-pipe tile bitmaps: a tile streams from DRAM once per pass
   // no matter how many pipes touched it.
-  if (config_.texture_cache && !pipe_tiles.empty()) {
+  if (!pipe_tiles.empty()) {
     for (std::size_t u = 0; u < bound.inputs.size(); ++u) {
       const std::uint64_t tile_bytes =
           static_cast<std::uint64_t>(kTrackerTile) * kTrackerTile *
@@ -317,8 +327,27 @@ PassStats Device::finalize_pass(const FragmentProgram& program,
       }
       const std::uint64_t touched = static_cast<std::uint64_t>(
           std::count(merged.begin(), merged.end(), std::uint8_t{1}));
-      stats.unique_tile_bytes += touched * tile_bytes;
+      totals.unique_tile_bytes += touched * tile_bytes;
     }
+  }
+  return totals;
+}
+
+PassStats Device::finalize_pass(const FragmentProgram& program,
+                                const BoundPass& bound, std::uint64_t fragments,
+                                std::span<const ExecCounters> pipe_counters,
+                                const PassCacheTotals& cache) {
+  PassStats stats;
+  stats.program = program.name;
+  stats.width = bound.width;
+  stats.height = bound.height;
+  stats.fragments = fragments;
+  for (const ExecCounters& c : pipe_counters) stats.exec += c;
+  stats.cache = cache.cache;
+  stats.cache_miss_bytes = cache.miss_bytes;
+  stats.unique_tile_bytes = cache.unique_tile_bytes;
+  for (const Texture2D* t : bound.targets) {
+    stats.bytes_written += stats.fragments * bytes_per_texel(t->format());
   }
 
   PassCounts counts;
@@ -359,13 +388,41 @@ PassStats Device::draw(const FragmentProgram& program,
   const int pipes = profile_.fragment_pipes;
 
   std::vector<ExecCounters> pipe_counters(static_cast<std::size_t>(pipes));
-  std::vector<TileTouchTracker> pipe_tiles = make_tile_trackers(bound);
-  for (auto& cache : pipe_caches_) cache.flush();
 
   // Lower (or fetch from the cache) once per pass, outside the pipe loop.
   std::shared_ptr<const SoaProgram> soa;
+  ReplayMemo* memo = nullptr;
   if (config_.exec_engine == ExecEngine::Soa) {
-    soa = program_cache_.get(program, constants, bound.inputs);
+    soa = program_cache_.get(program, constants, bound.inputs, &memo);
+  }
+
+  // Replay memo. Every pass starts from flushed caches, so when no fetch
+  // coordinate depends on texel values, the pass's cache totals depend
+  // only on the lowered program (code, constants, texture shapes), the
+  // viewport and which units share a texture; the per-device cache
+  // geometry and pipe partition are fixed. Replay the first such draw and
+  // reuse its totals on later ones, which run with no cache bound.
+  const bool memoizable = soa != nullptr && config_.texture_cache &&
+                          soa->data_independent_fetches &&
+                          soa_static_plans_exact(*soa, width, height) &&
+                          pipe_caches_.front().set_index_ignores_texture_id();
+  ReplayMemo::Alias alias{};
+  const PassCacheTotals* memoized = nullptr;
+  if (memoizable) {
+    alias = unit_alias(bound.input_ids);
+    memoized = memo->find(width, height, alias);
+    if (memoized != nullptr) {
+      ++replay_memo_hits_;
+      trace_memo_hits_->increment();
+    } else {
+      ++replay_memo_misses_;
+      trace_memo_misses_->increment();
+    }
+  }
+  std::vector<TileTouchTracker> pipe_tiles;
+  if (memoized == nullptr) {
+    pipe_tiles = make_tile_trackers(bound);
+    for (auto& cache : pipe_caches_) cache.flush();
   }
 
   // Contiguous row blocks per logical pipe: deterministic partitioning that
@@ -407,11 +464,20 @@ PassStats Device::draw(const FragmentProgram& program,
   };
   pool_.parallel_for(static_cast<std::size_t>(pipes), run_pipe);
 
+  PassCacheTotals cache_totals;
+  if (memoized != nullptr) {
+    cache_totals = *memoized;
+  } else {
+    cache_totals = collect_cache_totals(bound, pipe_tiles);
+    if (memoizable) memo->record(width, height, alias, cache_totals);
+  }
   const PassStats stats = finalize_pass(
       program, bound,
       static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height),
-      pipe_counters, pipe_tiles);
-  annotate_pass_span(span, stats);
+      pipe_counters, cache_totals);
+  const char* replay = nullptr;
+  if (config_.texture_cache) replay = memoized != nullptr ? "memo" : "full";
+  annotate_pass_span(span, stats, replay);
   return stats;
 }
 
@@ -498,8 +564,9 @@ PassStats Device::draw_fragments(const FragmentProgram& program,
     pool_.parallel_for(static_cast<std::size_t>(pipes), run_pipe);
   }
 
-  const PassStats stats = finalize_pass(program, bound, n, pipe_counters, pipe_tiles);
-  annotate_pass_span(span, stats);
+  const PassStats stats = finalize_pass(
+      program, bound, n, pipe_counters, collect_cache_totals(bound, pipe_tiles));
+  annotate_pass_span(span, stats, config_.texture_cache ? "full" : nullptr);
   return stats;
 }
 

@@ -30,6 +30,7 @@
 #include "gpusim/texture.hpp"
 #include "gpusim/texture_cache.hpp"
 #include "gpusim/timing_model.hpp"
+#include "trace/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hs::gpusim {
@@ -218,6 +219,12 @@ class Device {
   /// The lowered-program cache (hit/miss statistics for tests and tools).
   const ProgramCache& program_cache() const { return program_cache_; }
 
+  /// Replay-memo lookups by memo-eligible draw() passes (for tests and
+  /// tools): a hit reused recorded cache totals instead of replaying, a
+  /// miss replayed and recorded them. See ReplayMemo.
+  std::uint64_t replay_memo_hits() const { return replay_memo_hits_; }
+  std::uint64_t replay_memo_misses() const { return replay_memo_misses_; }
+
  private:
   struct Slot {
     std::unique_ptr<Texture2D> texture;
@@ -239,10 +246,12 @@ class Device {
   std::vector<TileTouchTracker> make_tile_trackers(const BoundPass& bound) const;
   SoaBindings soa_bindings(const BoundPass& bound, std::size_t pipe,
                            std::span<TileTouchTracker> pipe_tiles);
+  PassCacheTotals collect_cache_totals(
+      const BoundPass& bound, std::span<const TileTouchTracker> pipe_tiles);
   PassStats finalize_pass(const FragmentProgram& program, const BoundPass& bound,
                           std::uint64_t fragments,
                           std::span<const ExecCounters> pipe_counters,
-                          std::span<const TileTouchTracker> pipe_tiles);
+                          const PassCacheTotals& cache);
 
   Texture2D& slot(TextureHandle handle) const;
 
@@ -252,6 +261,11 @@ class Device {
   std::uint64_t memory_used_ = 0;
   std::vector<TextureCache> pipe_caches_;  // one per logical pipe
   ProgramCache program_cache_;
+  std::uint64_t replay_memo_hits_ = 0;
+  std::uint64_t replay_memo_misses_ = 0;
+  // Process-global trace counters, like ProgramCache's.
+  trace::Counter* trace_memo_hits_;
+  trace::Counter* trace_memo_misses_;
   util::ThreadPool pool_;
   DeviceTotals totals_;
 };

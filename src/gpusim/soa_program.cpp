@@ -177,6 +177,10 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
     }
   }
   sp.max_abs_offset = static_cast<std::int32_t>(max_off);
+  sp.data_independent_fetches = std::none_of(
+      sp.fetch.begin(), sp.fetch.end(), [](const SoaFetchPlan& plan) {
+        return plan.mode == SoaFetchPlan::Mode::Dynamic;
+      });
 
   // A reuse slot resolves identically to its owner by construction (same
   // unclobbered coordinate descriptor, same texture geometry), so the
@@ -1385,17 +1389,20 @@ struct SliceRun {
 
 }  // namespace
 
+bool soa_static_plans_exact(const SoaProgram& sp, int width, int rows) {
+  // The static plans rely on `(x + 0.5) + dx` being exact in float.
+  return std::int64_t{std::max(width, rows)} + sp.max_abs_offset + 1 <
+         kMaxExactCoord;
+}
+
 void run_soa_rows(const SoaProgram& sp, const SoaBindings& bindings,
                   int width, int y_begin, int y_end, ExecCounters& counters) {
   if (width <= 0 || y_begin >= y_end) return;
   const CompiledProgram& cp = *sp.compiled;
   SliceRun run(sp, bindings);
-  // The static plans rely on `(x + 0.5) + dx` being exact in float. A
-  // viewport reaching past that bound runs the pass all-dynamic, exactly
-  // like a geometry pass: same results, only slower.
-  const bool fullscreen = std::int64_t{std::max(width, y_end)} +
-                              sp.max_abs_offset + 1 <
-                          kMaxExactCoord;
+  // A viewport reaching past the exactness bound runs the pass
+  // all-dynamic, exactly like a geometry pass: same results, only slower.
+  const bool fullscreen = soa_static_plans_exact(sp, width, y_end);
   const bool uses_tc0 = (cp.texcoords_used & 1u) != 0;
   for (int y = y_begin; y < y_end; ++y) {
     for (int x0 = 0; x0 < width; x0 += kTile) {

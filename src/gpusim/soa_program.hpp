@@ -37,6 +37,15 @@
 // TextureCache::ReplaySession::replay_matrix(), whose register-resident
 // probe loop only loads finished tags.
 //
+// A fullscreen pass whose fetch slots are all static or uniform, inside
+// the exactness bound (soa_static_plans_exact), fetches the same texel
+// coordinates whatever the texel values are, so its cache statistics and
+// tile-touch marks are a function of the program, the viewport and which
+// units share a texture. Device::draw() replays such a pass once, records
+// its totals and runs later redraws with no cache or tracker bound (see
+// ReplayMemo in compiled_program.hpp). The executor itself replays
+// whenever its bindings carry a cache.
+//
 // A small gather->ALU fusion pass further removes plane traffic: a
 // componentwise ADD/SUB/MUL whose two sources are identity reads of
 // still-intact full dynamic-fetch results computes its destination rows
@@ -132,6 +141,10 @@ struct SoaProgram {
   /// Largest |dx| / |dy| (and intermediate folded offset) over static
   /// plans; bounds the float-exactness check in run_soa_rows().
   std::int32_t max_abs_offset = 0;
+  /// No fetch slot is Dynamic: in a fullscreen pass within
+  /// soa_static_plans_exact(), every fetch coordinate -- and so every
+  /// cache tag and tile mark -- is independent of texel values.
+  bool data_independent_fetches = false;
   /// 1 + the highest temp register the code touches: the executor's
   /// scratch holds only these registers.
   int temp_regs = 0;
@@ -162,6 +175,12 @@ struct SoaBindings {
   /// Per-pipe; null disables tracking. Its tile size must be 4.
   TileTouchTracker* tiles = nullptr;
 };
+
+/// True when a fullscreen pass `width` texels wide that reaches row
+/// `rows` stays inside the float-exactness bound of the static fetch
+/// plans. run_soa_rows() uses the static/uniform plans exactly then and
+/// otherwise runs the slice all-dynamic.
+bool soa_static_plans_exact(const SoaProgram& program, int width, int rows);
 
 /// Executes rows [y_begin, y_end) of a full-viewport pass (texcoord[0] =
 /// texel center) and accumulates the analytic counters.

@@ -188,6 +188,17 @@ class TextureCache {
 
   int num_sets() const { return num_sets_; }
 
+  /// True when a tag's set never depends on its texture id. The set index
+  /// is bits [32, 32 + log2(num_sets)) of tag * K, and the id occupies
+  /// bits 48+ of the tag. The low 48 bits of a 64-bit product depend only
+  /// on the low 48 bits of its factors, so with a power-of-two set count
+  /// up to 2^16 the id only decides whether two tags are equal, never
+  /// which set a tag lands in. Device::draw()'s replay memo relies on
+  /// this to key passes on which units share a texture, not on ids.
+  bool set_index_ignores_texture_id() const {
+    return (num_sets_ & (num_sets_ - 1)) == 0 && num_sets_ <= (1 << 16);
+  }
+
   /// log2(tile_size) when the tile size is a power of two, -1 otherwise.
   int tile_shift() const { return tile_shift_; }
 

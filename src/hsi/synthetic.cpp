@@ -195,6 +195,19 @@ SyntheticScene generate_indian_pines_scene(const SceneConfig& config) {
 
   std::vector<double> weights(static_cast<std::size_t>(nclasses));
   std::vector<float> spectrum(static_cast<std::size_t>(config.bands));
+  std::vector<int> present;  // classes with positive weight, ascending
+  present.reserve(static_cast<std::size_t>(nclasses));
+
+  // The Gaussian window kernel, row-major over (dy, dx) in [-m, m]^2.
+  const int win = 2 * m + 1;
+  std::vector<double> kernel(static_cast<std::size_t>(win * win));
+  for (int dy = -m; dy <= m; ++dy) {
+    for (int dx = -m; dx <= m; ++dx) {
+      const double d2 = static_cast<double>(dx * dx + dy * dy);
+      kernel[static_cast<std::size_t>((dy + m) * win + dx + m)] =
+          std::exp(-d2 / (2.0 * m * m + 1e-9));
+    }
+  }
 
   for (int y = 0; y < config.height; ++y) {
     for (int x = 0; x < config.width; ++x) {
@@ -202,13 +215,12 @@ SyntheticScene generate_indian_pines_scene(const SceneConfig& config) {
 
       // Boundary mixing: Gaussian-weighted class histogram of the window.
       if (m > 0) {
+        const double* k = kernel.data();
         for (int dy = -m; dy <= m; ++dy) {
+          const int ny = std::clamp(y + dy, 0, config.height - 1);
           for (int dx = -m; dx <= m; ++dx) {
             const int nx = std::clamp(x + dx, 0, config.width - 1);
-            const int ny = std::clamp(y + dy, 0, config.height - 1);
-            const double d2 = static_cast<double>(dx * dx + dy * dy);
-            const double w = std::exp(-d2 / (2.0 * m * m + 1e-9));
-            weights[static_cast<std::size_t>(scene.truth.at(nx, ny))] += w;
+            weights[static_cast<std::size_t>(scene.truth.at(nx, ny))] += *k++;
           }
         }
       } else {
@@ -233,16 +245,21 @@ SyntheticScene generate_indian_pines_scene(const SceneConfig& config) {
       const double gain =
           1.0 + config.brightness_jitter * rng.uniform(-1.0, 1.0);
 
+      // Only the few classes with positive weight contribute; visiting
+      // them in ascending order keeps the per-band sums bit-identical to
+      // a scan over every class.
+      present.clear();
+      for (int c = 0; c < nclasses; ++c) {
+        if (weights[static_cast<std::size_t>(c)] > 0) present.push_back(c);
+      }
+
       double signal_mean = 0;
       for (int l = 0; l < config.bands; ++l) {
         double v = 0;
-        for (int c = 0; c < nclasses; ++c) {
-          const double w = weights[static_cast<std::size_t>(c)];
-          if (w > 0) {
-            v += w * static_cast<double>(
-                         lib.signatures[static_cast<std::size_t>(c)]
-                                       [static_cast<std::size_t>(l)]);
-          }
+        for (int c : present) {
+          v += weights[static_cast<std::size_t>(c)] *
+               static_cast<double>(lib.signatures[static_cast<std::size_t>(c)]
+                                                 [static_cast<std::size_t>(l)]);
         }
         v = v / wsum * gain;
         spectrum[static_cast<std::size_t>(l)] = static_cast<float>(v);

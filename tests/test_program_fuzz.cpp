@@ -9,15 +9,21 @@
 //     SoA static plans' float-exactness bound.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <iterator>
+#include <map>
 #include <span>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "gpusim/assembler.hpp"
 #include "gpusim/gpu_device.hpp"
 #include "gpusim/interpreter.hpp"
+#include "trace/trace.hpp"
 #include "util/rng.hpp"
 
 namespace hs::gpusim {
@@ -131,12 +137,120 @@ FragmentProgram random_program(util::Xoshiro256& rng, int max_ops,
   return program;
 }
 
+/// Like random_program(), but every fetch coordinate is texcoord[0]
+/// itself, texcoord[0] plus a literal integer offset (ADD/SUB into a fresh
+/// temp that nothing else writes) or a literal: the SoA lowering
+/// classifies every fetch slot Static or Uniform, so fullscreen passes of
+/// these programs reach the device's replay memo. ALU instructions read
+/// anything and write fresh temps, so they never disturb a coordinate.
+FragmentProgram random_static_program(util::Xoshiro256& rng, int max_ops,
+                                      int bound_textures) {
+  FragmentProgram program;
+  program.name = "fuzz_static";
+  int live_temps = 0;
+
+  auto literal = [&](float x, float y) {
+    SrcOperand src;
+    src.file = RegFile::Literal;
+    src.literal = {x, y, static_cast<float>(rng.uniform(-1, 1)),
+                   static_cast<float>(rng.uniform(-1, 1))};
+    return src;
+  };
+  auto texcoord0 = [] {
+    SrcOperand src;
+    src.file = RegFile::TexCoord;
+    src.index = 0;
+    return src;
+  };
+  auto offset = [&] { return static_cast<float>(rng.uniform_int(7)) - 3.f; };
+  auto temp_source = [&] {
+    SrcOperand src;
+    src.file = RegFile::Temp;
+    src.index = static_cast<std::uint8_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(live_temps)));
+    if (rng.uniform() < 0.3) {
+      for (auto& c : src.swizzle.comp) {
+        c = static_cast<std::uint8_t>(rng.uniform_int(4));
+      }
+    }
+    if (rng.uniform() < 0.2) src.negate = true;
+    return src;
+  };
+  auto emit = [&](Opcode op, std::initializer_list<SrcOperand> srcs) {
+    Instruction ins;
+    ins.op = op;
+    ins.dst.file = RegFile::Temp;
+    ins.dst.index = static_cast<std::uint8_t>(live_temps++);
+    ins.dst.write_mask = 0xF;
+    int s = 0;
+    for (const SrcOperand& src : srcs) ins.src[static_cast<std::size_t>(s++)] = src;
+    ins.src_count = static_cast<std::uint8_t>(s);
+    return &program.code.emplace_back(ins);
+  };
+  auto emit_tex = [&](const SrcOperand& coord) {
+    const auto unit = static_cast<std::uint8_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(bound_textures)));
+    emit(Opcode::TEX, {coord})->tex_unit = unit;
+  };
+
+  const Opcode alu[] = {Opcode::ADD, Opcode::SUB, Opcode::MUL, Opcode::MAX,
+                        Opcode::DP3, Opcode::MAD, Opcode::FRC, Opcode::ABS};
+  const int n_ops = static_cast<int>(
+      1 + rng.uniform_int(static_cast<std::uint64_t>(max_ops)));
+  for (int i = 0; i < n_ops && live_temps + 2 <= kMaxTemps; ++i) {
+    const std::uint64_t kind = live_temps == 0 ? rng.uniform_int(3)
+                                               : rng.uniform_int(5);
+    if (kind == 0) {
+      emit_tex(texcoord0());
+    } else if (kind == 1) {
+      // Locals keep the rng draws in a fixed order (argument evaluation
+      // order is unspecified).
+      const int coord = live_temps;
+      const Opcode op = rng.uniform() < 0.5 ? Opcode::ADD : Opcode::SUB;
+      const float dx = offset();
+      const float dy = offset();
+      emit(op, {texcoord0(), literal(dx, dy)});
+      SrcOperand src;
+      src.file = RegFile::Temp;
+      src.index = static_cast<std::uint8_t>(coord);
+      emit_tex(src);
+    } else if (kind == 2) {
+      const float x = static_cast<float>(rng.uniform(-3, 12));
+      const float y = static_cast<float>(rng.uniform(-3, 12));
+      emit_tex(literal(x, y));
+    } else {
+      const Opcode op = alu[rng.uniform_int(std::size(alu))];
+      std::array<SrcOperand, 3> src;
+      for (SrcOperand& operand : src) {
+        operand = rng.uniform() < 0.8 ? temp_source() : literal(0.5f, -0.25f);
+      }
+      Instruction* ins = emit(op, {});
+      ins->src = src;
+      ins->src_count = static_cast<std::uint8_t>(opcode_arity(op));
+    }
+  }
+
+  Instruction out;
+  out.op = Opcode::MOV;
+  out.dst.file = RegFile::Output;
+  out.dst.index = 0;
+  out.src[0] = temp_source();
+  out.src_count = 1;
+  program.code.push_back(out);
+  return program;
+}
+
 class ProgramFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ProgramFuzz, GeneratedProgramsAreValid) {
   util::Xoshiro256 rng(GetParam());
   for (int trial = 0; trial < 20; ++trial) {
     const FragmentProgram p = random_program(rng, 24, 2);
+    const auto errors = validate(p);
+    EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    const FragmentProgram p = random_static_program(rng, 24, 2);
     const auto errors = validate(p);
     EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
   }
@@ -270,6 +384,18 @@ void expect_identical_texels(Device& da, TextureHandle ha, Device& db,
   EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(float)));
 }
 
+/// Fresh random contents for the fullscreen differential's two inputs.
+void random_texels(util::Xoshiro256& rng, std::vector<float4>& a,
+                   std::vector<float>& b) {
+  for (auto& v : a) {
+    v = {static_cast<float>(rng.uniform(-4, 4)),
+         static_cast<float>(rng.uniform(-4, 4)),
+         static_cast<float>(rng.uniform(-4, 4)),
+         static_cast<float>(rng.uniform(-4, 4))};
+  }
+  for (auto& v : b) v = static_cast<float>(rng.uniform(-4, 4));
+}
+
 TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
   util::Xoshiro256 rng(GetParam() ^ 0xD1FFULL);
   const AddressMode modes[] = {AddressMode::ClampToEdge, AddressMode::Repeat,
@@ -280,7 +406,10 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
   const std::pair<int, int> shapes[] = {{8, 8},   {70, 9},   {5, 3},
                                         {64, 4},  {300, 5},  {513, 2}};
   constexpr int kShapes = static_cast<int>(std::size(shapes));
-  for (int trial = 0; trial < 2 * kShapes; ++trial) {
+  // The last third of the trials draws all-static programs, which the SoA
+  // device replays once and then serves from its replay memo.
+  for (int trial = 0; trial < 3 * kShapes; ++trial) {
+    const bool static_fetches = trial >= 2 * kShapes;
     const int pipes = 1 + static_cast<int>(rng.uniform_int(4));
     EnginePair pair(pipes);
     const auto [w, h] = shapes[trial % kShapes];
@@ -289,13 +418,7 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
 
     std::vector<float4> data_a(static_cast<std::size_t>(w) * h);
     std::vector<float> data_b(static_cast<std::size_t>(w) * h);
-    for (auto& v : data_a) {
-      v = {static_cast<float>(rng.uniform(-4, 4)),
-           static_cast<float>(rng.uniform(-4, 4)),
-           static_cast<float>(rng.uniform(-4, 4)),
-           static_cast<float>(rng.uniform(-4, 4))};
-    }
-    for (auto& v : data_b) v = static_cast<float>(rng.uniform(-4, 4));
+    random_texels(rng, data_a, data_b);
 
     TextureHandle in_a[2], in_b[2], out[2];
     Device* devs[2] = {&pair.interp, &pair.soa};
@@ -311,10 +434,20 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
     }
 
     const FragmentProgram p =
-        random_program(rng, 20, 2, /*partial_masks=*/true);
+        static_fetches ? random_static_program(rng, 20, 2)
+                       : random_program(rng, 20, 2, /*partial_masks=*/true);
     const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
                                  {-1, 0, 1, 2}, {4, 3, 2, 1}};
     for (int repeat = 0; repeat < 2; ++repeat) {  // second draw hits the cache
+      if (repeat > 0) {
+        // New texel values: cache statistics the SoA device reuses from
+        // its replay memo must not depend on them.
+        random_texels(rng, data_a, data_b);
+        for (int d = 0; d < 2; ++d) {
+          devs[d]->upload(in_a[d], data_a);
+          devs[d]->upload(in_b[d], data_b);
+        }
+      }
       PassStats stats[2];
       for (int d = 0; d < 2; ++d) {
         const TextureHandle ins[2] = {in_a[d], in_b[d]};
@@ -325,6 +458,10 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
       expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
     }
     EXPECT_GE(pair.soa.program_cache().hits(), 1u);
+    if (static_fetches) {
+      EXPECT_EQ(pair.soa.replay_memo_misses(), 1u);
+      EXPECT_EQ(pair.soa.replay_memo_hits(), 1u);
+    }
   }
 }
 
@@ -415,7 +552,194 @@ TEST(ProgramFuzzDirected, WideViewportPastExactBoundMatchesInterpreter) {
   EXPECT_EQ(stats[0].fragments, static_cast<std::uint64_t>(kW));
   expect_identical_stats(stats[0], stats[1]);
   expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
+  // Past the bound the replay memo does not apply either.
+  EXPECT_EQ(pair.soa.replay_memo_misses(), 0u);
 }
+
+// ---- replay memo ------------------------------------------------------------
+//
+// The SoA device replays a data-independent fullscreen pass once, then
+// reuses its cache totals on later draws with the same viewport and unit
+// aliasing. Every pass below also runs on the interpreter, which always
+// replays, and must match it bit for bit.
+
+/// Both engines of an EnginePair, driven in lockstep. Textures are created
+/// in the same order on both devices, so their handles agree.
+struct MemoRig {
+  EnginePair pair{3};
+  Device* devs[2] = {&pair.interp, &pair.soa};
+
+  TextureHandle texture(int w, int h) {
+    TextureHandle handle = 0;
+    for (Device* dev : devs) {
+      handle = dev->create_texture(w, h, TextureFormat::RGBA32F);
+    }
+    fill(handle, 0);
+    return handle;
+  }
+
+  /// Uploads texels in [0, 3] that depend on the handle and `salt`.
+  void fill(TextureHandle handle, int salt) {
+    const Texture2D& t = pair.soa.texture(handle);
+    std::vector<float4> data(static_cast<std::size_t>(t.width()) * t.height());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const float v = static_cast<float>(
+                          (i * 37 + handle * 11 + static_cast<std::size_t>(salt) * 53) %
+                          101) *
+                      0.03f;
+      data[i] = {v, 1.f - v, 0.5f * v, static_cast<float>(handle)};
+    }
+    for (Device* dev : devs) dev->upload(handle, data);
+  }
+
+  /// Draws on both devices and checks them against each other; returns
+  /// the SoA device's stats.
+  PassStats draw(const FragmentProgram& p, std::vector<TextureHandle> ins,
+                 TextureHandle out) {
+    const float4 constants[1] = {{1, 0, 0, 0}};
+    const TextureHandle outs[1] = {out};
+    PassStats stats[2];
+    for (int d = 0; d < 2; ++d) {
+      stats[d] = devs[d]->draw(p, ins, constants, outs);
+    }
+    expect_identical_stats(stats[0], stats[1]);
+    expect_identical_texels(pair.interp, out, pair.soa, out);
+    return stats[1];
+  }
+};
+
+/// Static neighbor fetches on two units: unit 0 at (x+1, y), unit 1 at
+/// (x, y) and (x-1, y).
+FragmentProgram memo_neighbors() {
+  return assemble_or_die("memo_neighbors",
+                         "!!HSFP1.0\n"
+                         "ADD R0, fragment.texcoord[0], c[0];\n"
+                         "TEX R1, R0, texture[0];\n"
+                         "TEX R2, fragment.texcoord[0], texture[1];\n"
+                         "SUB R3, fragment.texcoord[0], c[0];\n"
+                         "TEX R4, R3, texture[1];\n"
+                         "ADD R5, R1, R2;\n"
+                         "ADD result.color, R5, R4;\n"
+                         "END\n");
+}
+
+TEST(ReplayMemo, PingPongWithSwappedIdsReusesTheMemo) {
+  MemoRig rig;
+  const TextureHandle a = rig.texture(37, 21);
+  const TextureHandle b = rig.texture(37, 21);
+  const TextureHandle x = rig.texture(37, 21);
+  const FragmentProgram p = memo_neighbors();
+  for (int round = 0; round < 3; ++round) {
+    rig.draw(p, {a, x}, b);
+    rig.draw(p, {b, x}, a);
+  }
+  EXPECT_EQ(rig.pair.soa.replay_memo_misses(), 1u);
+  EXPECT_EQ(rig.pair.soa.replay_memo_hits(), 5u);
+}
+
+TEST(ReplayMemo, AliasedUnitsDoNotReuseADistinctUnitsRecord) {
+  MemoRig rig;
+  const TextureHandle a = rig.texture(40, 24);
+  const TextureHandle b = rig.texture(40, 24);
+  const TextureHandle out = rig.texture(40, 24);
+  const FragmentProgram p = memo_neighbors();
+  const PassStats distinct = rig.draw(p, {a, b}, out);
+  // One texture on both units shares cache lines across them: more hits.
+  const PassStats aliased = rig.draw(p, {a, a}, out);
+  EXPECT_EQ(rig.pair.soa.replay_memo_misses(), 2u);
+  EXPECT_EQ(rig.pair.soa.replay_memo_hits(), 0u);
+  EXPECT_GT(aliased.cache.hits, distinct.cache.hits);
+  // The same patterns with other textures reuse their own records.
+  EXPECT_EQ(rig.draw(p, {b, b}, out).cache.hits, aliased.cache.hits);
+  EXPECT_EQ(rig.draw(p, {b, a}, out).cache.hits, distinct.cache.hits);
+  EXPECT_EQ(rig.pair.soa.replay_memo_misses(), 2u);
+  EXPECT_EQ(rig.pair.soa.replay_memo_hits(), 2u);
+}
+
+TEST(ReplayMemo, ViewportChangeMisses) {
+  MemoRig rig;
+  const TextureHandle a = rig.texture(40, 24);
+  const TextureHandle b = rig.texture(40, 24);
+  const TextureHandle wide = rig.texture(40, 24);
+  const TextureHandle narrow = rig.texture(23, 17);
+  const FragmentProgram p = memo_neighbors();
+  rig.draw(p, {a, b}, wide);
+  rig.draw(p, {a, b}, narrow);  // same lowered program, new viewport
+  rig.draw(p, {a, b}, wide);
+  EXPECT_EQ(rig.pair.soa.program_cache().misses(), 1u);
+  EXPECT_EQ(rig.pair.soa.replay_memo_misses(), 2u);
+  EXPECT_EQ(rig.pair.soa.replay_memo_hits(), 1u);
+}
+
+TEST(ReplayMemo, DependentFetchAndGeometryPassesNeverRecord) {
+  MemoRig rig;
+  const TextureHandle image = rig.texture(19, 13);
+  const TextureHandle offsets = rig.texture(19, 13);
+  const TextureHandle out = rig.texture(19, 13);
+  // MEI's shape: the second fetch's coordinate comes from a fetched texel.
+  const FragmentProgram dependent = assemble_or_die(
+      "memo_dependent",
+      "!!HSFP1.0\n"
+      "TEX R0, fragment.texcoord[0], texture[1];\n"
+      "ADD R1, R0, fragment.texcoord[0];\n"
+      "TEX R3, R1, texture[0];\n"
+      "MOV result.color, R3;\n"
+      "END\n");
+  const PassStats first = rig.draw(dependent, {image, offsets}, out);
+  rig.fill(offsets, 1);  // new fetch coordinates, new cache statistics
+  EXPECT_NE(rig.draw(dependent, {image, offsets}, out).cache.hits,
+            first.cache.hits);
+
+  const FragmentProgram p = memo_neighbors();
+  std::vector<Device::GeomFragment> frags;
+  for (int y = 0; y < 13; y += 2) {
+    for (int x = 0; x < 19; ++x) {
+      frags.push_back({x, y, {x + 0.5f, y + 0.5f, 0.f, 1.f}, {}});
+    }
+  }
+  const float4 constants[1] = {{1, 0, 0, 0}};
+  const TextureHandle ins[2] = {image, offsets};
+  const TextureHandle outs[1] = {out};
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    PassStats stats[2];
+    for (int d = 0; d < 2; ++d) {
+      stats[d] = rig.devs[d]->draw_fragments(p, frags, ins, constants, outs);
+    }
+    expect_identical_stats(stats[0], stats[1]);
+    expect_identical_texels(rig.pair.interp, out, rig.pair.soa, out);
+  }
+  EXPECT_EQ(rig.pair.soa.replay_memo_misses(), 0u);
+  EXPECT_EQ(rig.pair.soa.replay_memo_hits(), 0u);
+}
+
+#if HS_TRACE_ENABLED
+TEST(ReplayMemo, PassSpansAndCountersShowTheReplayPath) {
+  trace::reset();
+  trace::set_enabled(true);
+  {
+    MemoRig rig;
+    const TextureHandle a = rig.texture(16, 8);
+    const TextureHandle b = rig.texture(16, 8);
+    const TextureHandle out = rig.texture(16, 8);
+    const FragmentProgram p = memo_neighbors();
+    rig.draw(p, {a, b}, out);
+    rig.draw(p, {a, b}, out);
+  }
+  trace::set_enabled(false);
+  std::map<std::string, int> replay;  // the interpreter always replays
+  for (const trace::TraceEvent& e : trace::snapshot()) {
+    if (e.cat != "pass") continue;
+    for (const trace::TraceArg& arg : e.args) {
+      if (std::string_view(arg.key) == "replay") ++replay[arg.str];
+    }
+  }
+  EXPECT_EQ(replay["full"], 3);
+  EXPECT_EQ(replay["memo"], 1);
+  EXPECT_EQ(trace::counter("gpusim.replay_memo.miss").value(), 1);
+  EXPECT_EQ(trace::counter("gpusim.replay_memo.hit").value(), 1);
+  trace::reset();
+}
+#endif  // HS_TRACE_ENABLED
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));

@@ -317,6 +317,19 @@ RouterOptions e2e_options(const TempDir& dir, std::size_t shards) {
   return opt;
 }
 
+/// Router::start() returns once one shard is up, while jobs route (and
+/// restart_shard() acts) only on shards that are Up. Waits up to 20 s for
+/// `n` shards to be up and returns how many are.
+std::size_t wait_for_shards(const Router& router, std::size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (router.alive_shards() < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    ::usleep(10000);
+  }
+  return router.alive_shards();
+}
+
 TEST(ShardRouterE2E, TwoShardsMatchTheSingleProcessWitness) {
   std::vector<serve::JobSpec> specs;
   for (int i = 0; i < 18; ++i) specs.push_back(work_spec(i));
@@ -325,16 +338,9 @@ TEST(ShardRouterE2E, TwoShardsMatchTheSingleProcessWitness) {
   TempDir dir;
   Router router(e2e_options(dir, 2));
   router.start();
-  // start() returns once one shard is up, and jobs route at submit time,
-  // so wait for the second shard: otherwise a slow spawn sends every job
-  // to the first one and the both-shards-worked check below fails.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (router.alive_shards() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    ::usleep(10000);
-  }
-  ASSERT_EQ(router.alive_shards(), 2u);
+  // Otherwise a slow spawn sends every job to the first shard and the
+  // both-shards-worked check below fails.
+  ASSERT_EQ(wait_for_shards(router, 2), 2u);
   std::vector<std::uint64_t> ids;
   for (const serve::JobSpec& s : specs) {
     const serve::Submitted sub = router.submit(s);
@@ -433,6 +439,10 @@ TEST(ShardRouterE2E, AllShardsDownYieldsCleanRejectsNotHangs) {
   opt.max_restarts = 0;  // killed shards stay dead
   Router router(opt);
   router.start();
+  // A shard killed while still starting is not Up, so the wait below
+  // could end before the router has seen it die, and the submit would
+  // park instead of being rejected.
+  ASSERT_EQ(wait_for_shards(router, 2), 2u);
 
   ASSERT_TRUE(router.kill_shard(0));
   ASSERT_TRUE(router.kill_shard(1));
@@ -462,6 +472,8 @@ TEST(ShardRouterE2E, GracefulDrainRestartsWithoutDeathsOrDrops) {
   TempDir dir;
   Router router(e2e_options(dir, 2));
   router.start();
+  // restart_shard() refuses a shard that is still starting.
+  ASSERT_EQ(wait_for_shards(router, 2), 2u);
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 10; ++i) ids.push_back(router.submit(specs[i]).id);
   ASSERT_TRUE(router.restart_shard(0));

@@ -5,6 +5,7 @@
 #include "core/distances.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 namespace hs::hsi {
@@ -181,6 +182,49 @@ TEST(SyntheticScene, CornPixelsAreHeavilyMixed) {
   ASSERT_GE(woods, 0.0);
   ASSERT_GE(corn, 0.0);
   EXPECT_GT(corn, woods * 3);
+}
+
+/// FNV-1a over the cube's float bits, then the label map.
+std::uint64_t scene_hash(const SyntheticScene& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  mix(s.cube.raw().data(), s.cube.raw().size() * sizeof(float));
+  mix(s.truth.labels().data(), s.truth.labels().size() * sizeof(std::int16_t));
+  return h;
+}
+
+TEST(SyntheticScene, CubeHashIsPinned) {
+  // Every double operation of the generator, and its order, is part of
+  // the scene: these hashes pin the exact bits, so an optimization that
+  // reorders a sum or recomputes a weight differently shows up here.
+  struct Case {
+    int width, height, bands, mixing_halfwidth;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {48, 40, 32, 0, 11, 0x6ddfffcc1e2dffa4ull},
+      {64, 56, 24, 1, 5, 0xc0066f9ed918f580ull},
+      {37, 45, 48, 2, 9, 0xce0245ecf10b73b8ull},
+      {96, 80, 64, 2, 3, 0xa00fe67612e37b41ull},
+  };
+  for (const Case& c : cases) {
+    SceneConfig cfg;
+    cfg.width = c.width;
+    cfg.height = c.height;
+    cfg.bands = c.bands;
+    cfg.mixing_halfwidth = c.mixing_halfwidth;
+    cfg.seed = c.seed;
+    EXPECT_EQ(scene_hash(generate_indian_pines_scene(cfg)), c.hash)
+        << c.width << "x" << c.height << "x" << c.bands << " m="
+        << c.mixing_halfwidth << " seed=" << c.seed;
+  }
 }
 
 }  // namespace
