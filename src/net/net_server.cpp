@@ -142,6 +142,13 @@ NetServer::~NetServer() {
 
 void NetServer::run() { loop(); }
 
+void NetServer::set_on_result(
+    std::function<void(const serve::JobResult&)> observer) {
+  on_result_ = std::move(observer);
+}
+
+void NetServer::flush_results() { drain_events(); }
+
 void NetServer::start() {
   thread_ = std::thread([this] { loop(); });
 }
@@ -319,6 +326,7 @@ void NetServer::drain_events() {
                                           tag.client_id, ev.checks));
     } else {
       deliver_terminal(ev.result);
+      if (on_result_) on_result_(ev.result);
     }
   }
 }

@@ -40,6 +40,12 @@
 //     still run to exactly one terminal state inside the Server; the
 //     results are counted (orphaned_results) and discarded.
 //
+// Memory: the backend retires a job's record once its on_terminal hook
+// has fired (backend.hpp), so the JobEvent copy queued here is the only
+// one left; it is dropped once its frame is written and the optional
+// result observer (set_on_result) has seen it. A long-running front door
+// therefore holds state only for connections and jobs still in flight.
+//
 // Shutdown: request_stop(drain) is async-signal-safe (atomics + one
 // self-pipe write), so a SIGTERM handler may call it directly. Drain mode
 // stops accepting connections and reading frames, waits for every routed
@@ -58,6 +64,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -140,6 +147,20 @@ class NetServer {
   /// Requests stop and, when start() was used, joins the loop thread.
   void stop(bool drain);
 
+  /// Observer for every terminal result the backend hands this front
+  /// door -- answered, orphaned or rejected at submit -- called on the
+  /// loop thread after the job's frame (if any) is queued, outside the
+  /// backend lock. Batch-style exporters (report rows, timelines) write
+  /// from it as results arrive instead of keeping them. Set before
+  /// start()/run().
+  void set_on_result(std::function<void(const serve::JobResult&)> observer);
+
+  /// After the loop has stopped and the backend has shut down: hands the
+  /// terminal events still queued (jobs orphaned by a departed client
+  /// that finished during the backend's drain) to the observer and the
+  /// orphan accounting. Must not run concurrently with the loop.
+  void flush_results();
+
   /// Async-signal-safe stop request (atomics + one pipe write). The first
   /// call's drain mode wins.
   void request_stop(bool drain);
@@ -204,6 +225,7 @@ class NetServer {
 
   serve::JobBackend& backend_;
   NetServerOptions options_;
+  std::function<void(const serve::JobResult&)> on_result_;
   int listen_fd_ = -1;
   int port_ = 0;
   int wake_read_fd_ = -1;

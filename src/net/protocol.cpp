@@ -209,4 +209,15 @@ std::optional<int> parse_port(std::string_view text) {
   return value;
 }
 
+std::optional<std::uint64_t> parse_output_hash(std::string_view text) {
+  if (text.empty() || text.size() > 16) return std::nullopt;
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value, 16);
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace hs::net

@@ -91,4 +91,10 @@ std::optional<Response> parse_response_frame(std::string_view line,
 /// (0 means "pick an ephemeral port" where accepted). nullopt otherwise.
 std::optional<int> parse_port(std::string_view text);
 
+/// Strict witness parse for a frame's "output_hash": exactly 1-16 hex
+/// digits (either case), all consumed -- the inverse of what result_frame
+/// prints. nullopt for anything else: empty, a stray non-hex character,
+/// a sign or "0x" prefix, or more digits than 64 bits hold.
+std::optional<std::uint64_t> parse_output_hash(std::string_view text);
+
 }  // namespace hs::net

@@ -25,6 +25,13 @@
 //     threads without the lock; it must be thread-safe and cheap.
 //   * set_on_terminal(nullptr) blocks until any in-progress invocation
 //     has returned, so a front door can detach safely in its destructor.
+//   * Record lifetime: once the on_terminal hook has been handed a
+//     terminal result, the backend retires that record -- the hook's copy
+//     is the only one left, and wait()/result()/results() no longer see
+//     the job. With no hook installed, records stay, so library callers,
+//     tests and batch runs keep using wait()/results() unchanged. A
+//     long-running front door therefore holds memory only for jobs still
+//     running, never for every job it has served.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +44,10 @@
 namespace hs::serve {
 
 /// Outcome of JobBackend::submit(): `admitted` jobs are queued; rejected
-/// ones are already terminal (state/detail say why) but still tracked by
-/// the backend, so wait()/results() style queries cover them too.
+/// ones are already terminal (state/detail say why). With no on_terminal
+/// hook installed the backend still tracks them, so wait()/results() style
+/// queries cover them too; with a hook they were handed to it and retired,
+/// like every other terminal job.
 struct Submitted {
   std::uint64_t id = 0;
   bool admitted = false;

@@ -139,12 +139,29 @@ void Server::finalize_locked(Record& rec, JobState state,
   trace::flight_event("job.terminal", static_cast<std::int64_t>(rec.result.id),
                       rec.result.attempts, to_string(state));
   state_counter(state).increment();
+  switch (state) {
+    case JobState::Done:
+      ++stats_.done;
+      if (rec.result.cached) ++stats_.cached;
+      break;
+    case JobState::Failed: ++stats_.failed; break;
+    case JobState::Rejected: ++stats_.rejected; break;
+    case JobState::TimedOut: ++stats_.timed_out; break;
+    case JobState::Cancelled: ++stats_.cancelled; break;
+    case JobState::Queued:
+    case JobState::Running: break;
+  }
   update_gauges_locked();
+  maybe_dump_flight_locked(rec.result);
   done_cv_.notify_all();
   // Front-door hook: fires under mu_ so a terminal state is observed
   // exactly once, in finalization order. The callback contract (cheap, no
-  // re-entry) is documented on ServerOptions::on_terminal.
-  if (options_.on_terminal) options_.on_terminal(rec.result);
+  // re-entry) is documented on ServerOptions::on_terminal. The hook now
+  // holds the only copy the server hands out, so the record retires.
+  if (options_.on_terminal) {
+    options_.on_terminal(rec.result);
+    records_.erase(rec.result.id);
+  }
 }
 
 void Server::set_on_terminal(std::function<void(const JobResult&)> hook) {
@@ -200,6 +217,7 @@ Server::Submitted Server::submit(const JobSpec& spec) {
   rec.result.priority = spec.priority;
   rec.result.timeline.push_back(TimelineEvent{0, "submitted", spec.name});
   trace::counter("serve.jobs.submitted").increment();
+  ++stats_.submitted;
   trace::flight_event("job.submit", static_cast<std::int64_t>(id), 0,
                       to_string(spec.kind));
 
@@ -273,12 +291,17 @@ bool Server::cancel(std::uint64_t id) {
 
 JobResult Server::wait(std::uint64_t id) {
   std::unique_lock<std::mutex> lk(mu_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) {
-    throw std::invalid_argument("unknown job id " + std::to_string(id));
+  for (;;) {
+    // Looked up afresh after every wakeup: a hooked record retires (and
+    // its iterator dies) in the same critical section that finalizes it.
+    const auto it = records_.find(id);
+    if (it == records_.end()) {
+      throw std::invalid_argument("unknown or retired job id " +
+                                  std::to_string(id));
+    }
+    if (is_terminal(it->second.result.state)) return it->second.result;
+    done_cv_.wait(lk);
   }
-  done_cv_.wait(lk, [&] { return is_terminal(it->second.result.state); });
-  return it->second.result;
 }
 
 std::optional<JobResult> Server::result(std::uint64_t id) const {
@@ -294,6 +317,11 @@ std::vector<JobResult> Server::results() const {
   out.reserve(records_.size());
   for (const auto& [id, rec] : records_) out.push_back(rec.result);
   return out;
+}
+
+Server::Stats Server::stats() const {
+  std::unique_lock<std::mutex> lk(mu_);
+  return stats_;
 }
 
 std::size_t Server::queue_depth() const {
@@ -352,7 +380,6 @@ void Server::worker_loop() {
     if (rec.has_deadline && now >= rec.deadline_tp) {
       mark(rec.result, rec.submit_tp, "deadline_expired", "while queued");
       finalize_locked(rec, JobState::TimedOut, "deadline expired while queued");
-      maybe_dump_flight_locked(rec.result);
       continue;
     }
     mark(rec.result, rec.submit_tp, "dequeued");
@@ -399,7 +426,6 @@ void Server::worker_loop() {
                      });
     trace::histogram("serve.exec_s").record(outcome.exec_seconds);
     finalize_locked(done, outcome.state, outcome.detail);
-    maybe_dump_flight_locked(done.result);
   }
 }
 

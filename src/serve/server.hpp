@@ -141,7 +141,9 @@ struct ServerOptions {
   /// that terminalizes it, with the server's internal lock held: the
   /// callback must be cheap (copy what it needs, post to a queue) and must
   /// NOT call back into the Server. Covers every terminal state, including
-  /// jobs rejected synchronously inside submit().
+  /// jobs rejected synchronously inside submit(). The server retires a
+  /// job's record once the hook has seen it (backend.hpp), so the hook's
+  /// copy is the only one left.
   std::function<void(const JobResult&)> on_terminal;
   /// Chunk-boundary progress hook: (job id, cooperative checks so far) on
   /// every cancellation check while the job runs. Runs on pipeline worker
@@ -162,6 +164,22 @@ class Server : public JobBackend {
   /// kept as a nested alias for the pre-JobBackend spelling.
   using Submitted = serve::Submitted;
 
+  /// Always-on job counts (exact in every build, HS_TRACE or not). They
+  /// outlive retired records, so a front door reports from these.
+  struct Stats {
+    std::uint64_t submitted = 0;
+    std::uint64_t done = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t timed_out = 0;
+    std::uint64_t cancelled = 0;
+    std::uint64_t cached = 0;  ///< Done jobs served from the result cache
+
+    std::uint64_t terminal() const {
+      return done + failed + rejected + timed_out + cancelled;
+    }
+  };
+
   explicit Server(const ServerOptions& options);
   /// Implicit non-drain shutdown when the owner forgot: cancels queued
   /// jobs, cooperatively cancels running ones, joins the workers.
@@ -178,13 +196,18 @@ class Server : public JobBackend {
   bool cancel(std::uint64_t id);
 
   /// Blocks until the job reaches a terminal state and returns its result.
+  /// Throws std::invalid_argument for an id the server does not track:
+  /// never issued, or retired after the on_terminal hook saw it.
   JobResult wait(std::uint64_t id);
 
-  /// Non-blocking snapshot; nullopt for unknown ids.
+  /// Non-blocking snapshot; nullopt for unknown or retired ids.
   std::optional<JobResult> result(std::uint64_t id) const;
 
-  /// All tracked jobs in submission order (terminal or not).
+  /// All tracked jobs in submission order (terminal or not). With an
+  /// on_terminal hook installed that is only the jobs not yet terminal.
   std::vector<JobResult> results() const;
+
+  Stats stats() const;
 
   /// Stops admission, then either drains (completes queued + in-flight
   /// jobs) or cancels (queued jobs -> Cancelled, running jobs get a
@@ -240,10 +263,13 @@ class Server : public JobBackend {
                const std::function<void(std::uint64_t, std::uint64_t)>& progress,
                JobResult& out);
   /// Terminal bookkeeping; requires mu_ held and a non-terminal record.
+  /// Retires the record when an on_terminal hook took the result, so
+  /// `rec` must not be touched afterwards.
   void finalize_locked(Record& rec, JobState state, const std::string& detail);
   /// Writes a flight-recorder dump for a Failed/TimedOut job when
-  /// ServerOptions::flight_dump_dir is set. Requires mu_ held (runs only
-  /// on failure paths).
+  /// ServerOptions::flight_dump_dir is set (a no-op otherwise). Requires
+  /// mu_ held; finalize_locked calls it before the hook can retire the
+  /// record.
   void maybe_dump_flight_locked(const JobResult& result);
   void update_gauges_locked();
 
@@ -257,7 +283,8 @@ class Server : public JobBackend {
   std::condition_variable work_cv_;  ///< workers: queue non-empty or stop
   std::condition_variable done_cv_;  ///< waiters: some job terminalized
   JobQueue queue_;
-  std::map<std::uint64_t, Record> records_;
+  std::map<std::uint64_t, Record> records_;  ///< retired once hooked out
+  Stats stats_;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_seq_ = 1;
   std::size_t in_flight_ = 0;

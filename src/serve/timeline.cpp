@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
+#include <sstream>
+
+#include "util/fileio.hpp"
 
 namespace hs::serve {
 
@@ -69,10 +71,9 @@ void write_timeline_json(std::ostream& os, const JobResult& r) {
 }
 
 bool write_timeline_json_file(const std::string& path, const JobResult& r) {
-  std::ofstream os(path);
-  if (!os) return false;
+  std::ostringstream os;
   write_timeline_json(os, r);
-  return static_cast<bool>(os);
+  return util::write_file_atomic(path, os.str());
 }
 
 std::string timeline_filename(const JobResult& r) {

@@ -19,7 +19,9 @@ namespace hs::serve {
 /// Serializes `result` as one "hs.timeline.v1" document.
 void write_timeline_json(std::ostream& os, const JobResult& result);
 
-/// File variant. Returns false when the file cannot be written.
+/// File variant, published atomically (util::write_file_atomic: a reader
+/// sees no file or the whole document). Returns false when the file
+/// cannot be written.
 bool write_timeline_json_file(const std::string& path, const JobResult& result);
 
 /// Canonical file name for a job's timeline: "timeline_job<id>.json".

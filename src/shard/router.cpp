@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -456,7 +455,15 @@ void Router::finalize_locked(Record& rec, serve::JobState state,
   }
   update_gauges_locked();
   done_cv_.notify_all();
-  if (on_terminal_) on_terminal_(r);
+  if (on_terminal_) {
+    on_terminal_(r);
+    retired_.push_back(r.id);
+  }
+}
+
+void Router::retire_delivered_locked() {
+  for (const std::uint64_t id : retired_) records_.erase(id);
+  retired_.clear();
 }
 
 void Router::update_gauges_locked() {
@@ -492,7 +499,9 @@ serve::Submitted Router::submit(const serve::JobSpec& spec) {
     route_job_locked(rec);
   }
   wake();
-  return serve::Submitted{id, !serve::is_terminal(r.state), r.state, r.detail};
+  serve::Submitted out{id, !serve::is_terminal(r.state), r.state, r.detail};
+  retire_delivered_locked();
+  return out;
 }
 
 std::size_t Router::queue_depth() const {
@@ -516,13 +525,15 @@ void Router::set_on_progress(
 
 serve::JobResult Router::wait(std::uint64_t id) {
   std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] {
-    auto it = records_.find(id);
-    return it == records_.end() ||
-           serve::is_terminal(it->second.result.state);
-  });
-  auto it = records_.find(id);
-  return it == records_.end() ? serve::JobResult{} : it->second.result;
+  for (;;) {
+    const auto it = records_.find(id);
+    if (it == records_.end()) {
+      throw std::invalid_argument("unknown or retired job id " +
+                                  std::to_string(id));
+    }
+    if (serve::is_terminal(it->second.result.state)) return it->second.result;
+    done_cv_.wait(lk);
+  }
 }
 
 std::optional<serve::JobResult> Router::result(std::uint64_t id) const {
@@ -668,6 +679,16 @@ void Router::handle_frame_locked(std::size_t k, const std::string& text) {
     return;
   }
   if (resp->type != "result") return;
+  // The witness is the whole point of the frame: a hash that does not
+  // parse exactly must not be forwarded as some other number.
+  const auto hash = net::parse_output_hash(resp->output_hash);
+  if (!hash) {
+    finalize_locked(rec, serve::JobState::Failed,
+                    "shard " + std::to_string(k) +
+                        " sent a malformed output_hash '" +
+                        resp->output_hash + "'");
+    return;
+  }
   serve::JobResult& r = rec.result;
   r.attempts = resp->attempts;
   r.cached = resp->cached;
@@ -676,7 +697,7 @@ void Router::handle_frame_locked(std::size_t k, const std::string& text) {
   r.exec_seconds = resp->exec_ms / 1e3;
   r.modeled_seconds = resp->modeled_ms / 1e3;
   r.chunk_count = resp->chunks;
-  r.output_hash = std::strtoull(resp->output_hash.c_str(), nullptr, 16);
+  r.output_hash = *hash;
   const auto state = serve::parse_job_state(resp->state);
   if (state && *state == serve::JobState::Done) {
     ++sh.done;
@@ -696,6 +717,7 @@ void Router::loop() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       health_sweep_locked();
+      retire_delivered_locked();
       for (std::size_t k = 0; k < shards_.size(); ++k) {
         const Shard& sh = shards_[k];
         if (sh.fd < 0) continue;
@@ -720,6 +742,7 @@ void Router::loop() {
       if (sh.fd < 0) continue;
       if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) read_shard_locked(k);
     }
+    retire_delivered_locked();
   }
   teardown();
 }
@@ -767,6 +790,7 @@ void Router::teardown() {
                       "router shutdown without drain");
     }
   }
+  retire_delivered_locked();
   update_gauges_locked();
   start_cv_.notify_all();
 }

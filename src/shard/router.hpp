@@ -50,6 +50,10 @@
 // submit()/wait()/stats() synchronize with it through one mutex and a
 // self-pipe wakeup, and the on_terminal hook fires under that mutex
 // exactly once per job -- the same contract serve::Server documents.
+// A record lives while its job is outstanding; once the hook has taken
+// the terminal result, the record retires (backend.hpp), so the table and
+// its scans (parked routing, unroutable failing, teardown) stay
+// O(outstanding) however many jobs the router has served.
 #pragma once
 
 #include <atomic>
@@ -120,18 +124,21 @@ class Router : public serve::JobBackend {
     std::size_t outstanding = 0;
   };
 
-  /// Always-on router-wide mirror of the shard.* counters.
+  /// Always-on router-wide mirror of the shard.* counters. Every
+  /// terminal job lands in exactly one of completed/rejected/failed.
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t routed = 0;
     std::uint64_t rerouted = 0;
     std::uint64_t parked = 0;
-    std::uint64_t completed = 0;  ///< Done/Failed/TimedOut/Cancelled from shards
+    std::uint64_t completed = 0;  ///< Done
     std::uint64_t rejected = 0;   ///< shard 429s + router-level "no live shards"
-    std::uint64_t failed = 0;     ///< terminalized by the router itself
+    std::uint64_t failed = 0;     ///< Failed/TimedOut/Cancelled, shard or router
     std::uint64_t deaths = 0;     ///< unexpected shard exits
     std::uint64_t restarts = 0;
     std::uint64_t stale_frames = 0;
+
+    std::uint64_t terminal() const { return completed + rejected + failed; }
   };
 
   explicit Router(const RouterOptions& options);
@@ -154,10 +161,14 @@ class Router : public serve::JobBackend {
       std::function<void(std::uint64_t id, std::uint64_t checks)> hook) override;
 
   /// Blocks until the job reaches a terminal state and returns its result.
+  /// Throws std::invalid_argument for an id the router does not track:
+  /// never issued, or retired after the on_terminal hook saw it -- the
+  /// same contract as serve::Server::wait.
   serve::JobResult wait(std::uint64_t id);
-  /// Non-blocking snapshot; nullopt for unknown ids.
+  /// Non-blocking snapshot; nullopt for unknown or retired ids.
   std::optional<serve::JobResult> result(std::uint64_t id) const;
-  /// All tracked jobs in submission order (terminal or not).
+  /// All tracked jobs in submission order (terminal or not). With an
+  /// on_terminal hook installed that is only the jobs not yet terminal.
   std::vector<serve::JobResult> results() const;
 
   /// The shard the ring would pick for this spec with every shard live --
@@ -247,7 +258,14 @@ class Router : public serve::JobBackend {
   void send_job_locked(Record& rec, std::size_t k);
   void route_parked_locked();
   void fail_unroutable_locked();
+  /// Terminalizes `rec` and hands it to the on_terminal hook, if any; a
+  /// hooked record is queued for retirement, not erased, so callers that
+  /// walk records_ stay valid.
   void finalize_locked(Record& rec, serve::JobState state, std::string detail);
+  /// Erases the records queued by finalize_locked. Called where no
+  /// reference into records_ is live: the end of submit() and of every
+  /// event-loop pass.
+  void retire_delivered_locked();
   bool any_shard_pending_locked() const;  ///< Starting/Draining: may come Up
   void update_gauges_locked();
 
@@ -257,7 +275,8 @@ class Router : public serve::JobBackend {
   std::condition_variable done_cv_;   ///< some job terminalized
   std::condition_variable start_cv_;  ///< some shard changed liveness
   std::vector<Shard> shards_;
-  std::map<std::uint64_t, Record> records_;
+  std::map<std::uint64_t, Record> records_;  ///< outstanding, plus unhooked
+  std::vector<std::uint64_t> retired_;  ///< hooked out; erased next pass
   std::uint64_t next_id_ = 1;
   std::size_t outstanding_ = 0;  ///< non-terminal records
   bool stopping_ = false;        ///< admission closed

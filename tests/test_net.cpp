@@ -391,6 +391,35 @@ TEST(NetProtocol, ParsePortIsStrict) {
   EXPECT_FALSE(parse_port("123456"));
 }
 
+TEST(NetProtocol, ParseOutputHashIsStrict) {
+  EXPECT_EQ(parse_output_hash("0"), 0u);
+  EXPECT_EQ(parse_output_hash("12ab"), 0x12abu);
+  EXPECT_EQ(parse_output_hash("12AB"), 0x12abu);
+  EXPECT_EQ(parse_output_hash("ffffffffffffffff"), ~std::uint64_t{0});
+  EXPECT_EQ(parse_output_hash("0000000000000001"), 1u);
+  EXPECT_FALSE(parse_output_hash(""));
+  EXPECT_FALSE(parse_output_hash("12g"));  // strtoull would give 0x12
+  EXPECT_FALSE(parse_output_hash("g"));
+  EXPECT_FALSE(parse_output_hash("1ffffffffffffffff"));  // 17 digits
+  EXPECT_FALSE(parse_output_hash("00000000000000000"));  // 17 digits
+  EXPECT_FALSE(parse_output_hash("0x12"));
+  EXPECT_FALSE(parse_output_hash("-1"));
+  EXPECT_FALSE(parse_output_hash("+1"));
+  EXPECT_FALSE(parse_output_hash(" 1"));
+  EXPECT_FALSE(parse_output_hash("1 "));
+  // It inverts what result_frame prints.
+  for (const std::uint64_t hash :
+       {std::uint64_t{0}, std::uint64_t{0xabc}, ~std::uint64_t{0}}) {
+    serve::JobResult r;
+    r.id = 3;
+    r.state = serve::JobState::Done;
+    r.output_hash = hash;
+    const auto resp = parse_response_frame(result_frame(r, false, 0));
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(parse_output_hash(resp->output_hash), hash);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // NetServer over real loopback sockets
 

@@ -734,6 +734,50 @@ TEST(ServeServer, DestructorActsAsNonDrainShutdown) {
   EXPECT_GT(queued_id, 0u);
 }
 
+TEST(ServeServer, HookedRecordsRetireAndStatsStayExact) {
+  std::mutex mu;
+  std::vector<JobResult> delivered;
+  ServerOptions options;
+  options.workers = 1;
+  options.result_cache_bytes = 1 << 20;
+  options.on_terminal = [&](const JobResult& r) {
+    std::lock_guard<std::mutex> lk(mu);
+    delivered.push_back(r);
+  };
+  Server server(options);
+  JobSpec bad = small_spec(JobKind::Morphology, "bad");
+  bad.scene.width = 0;
+  std::vector<std::uint64_t> ids;
+  ids.push_back(server.submit(small_spec(JobKind::Morphology, "live")).id);
+  ids.push_back(server.submit(small_spec(JobKind::Morphology, "hit")).id);
+  ids.push_back(server.submit(bad).id);  // rejected inside submit()
+  server.shutdown(/*drain=*/true);
+
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    ASSERT_EQ(delivered.size(), 3u);
+  }
+  // The hook holds the only copy; the server keeps none of the three.
+  EXPECT_TRUE(server.results().empty());
+  for (const std::uint64_t id : ids) {
+    EXPECT_FALSE(server.result(id).has_value());
+    EXPECT_THROW(server.wait(id), std::invalid_argument);
+  }
+  const Server::Stats st = server.stats();
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.done, 2u);
+  EXPECT_EQ(st.cached, 1u);
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.terminal(), 3u);
+
+  // Detached: records stay again.
+  server.set_on_terminal(nullptr);
+  const auto late = server.submit(small_spec(JobKind::Morphology, "late"));
+  EXPECT_EQ(server.wait(late.id).state, JobState::Rejected);
+  EXPECT_EQ(server.results().size(), 1u);
+  EXPECT_EQ(server.stats().submitted, 4u);
+}
+
 TEST(ServeServer, ConcurrentSubmittersAndWorkersStayConsistent) {
   // Thread-safety smoke for the TSan stage: several client threads hammer
   // submit/cancel/result while two workers drain. Every job must reach a

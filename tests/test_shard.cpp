@@ -17,7 +17,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -505,6 +507,87 @@ TEST(ShardRouterE2E, ShutdownWithoutDrainCancelsOutstanding) {
   const serve::Submitted late = router.submit(work_spec(9));
   EXPECT_FALSE(late.admitted);
   EXPECT_EQ(late.state, serve::JobState::Rejected);
+}
+
+TEST(ShardRouterE2E, WaitOnUnknownIdThrowsLikeTheServer) {
+  TempDir dir;
+  Router router(e2e_options(dir, 1));
+  EXPECT_THROW(router.wait(42), std::invalid_argument);
+  serve::Server server(serve::ServerOptions{});
+  EXPECT_THROW(server.wait(42), std::invalid_argument);
+}
+
+TEST(ShardRouterE2E, HookedRecordsRetireOnceDelivered) {
+  TempDir dir;
+  Router router(e2e_options(dir, 1));
+  std::mutex mu;
+  std::vector<serve::JobResult> delivered;
+  router.set_on_terminal([&](const serve::JobResult& r) {
+    std::lock_guard<std::mutex> lk(mu);
+    delivered.push_back(r);
+  });
+  router.start();
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(router.submit(work_spec(i)).id);
+  router.shutdown(/*drain=*/true);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    ASSERT_EQ(delivered.size(), ids.size());
+    for (const serve::JobResult& r : delivered) {
+      EXPECT_EQ(r.state, serve::JobState::Done) << r.name << ": " << r.detail;
+    }
+  }
+  // The hook holds the only copy: nothing is retained, and waiting on a
+  // delivered id is an error rather than a default-constructed result.
+  EXPECT_TRUE(router.results().empty());
+  for (const std::uint64_t id : ids) {
+    EXPECT_FALSE(router.result(id).has_value());
+    EXPECT_THROW(router.wait(id), std::invalid_argument);
+  }
+  const Router::Stats st = router.stats();
+  EXPECT_EQ(st.submitted, ids.size());
+  EXPECT_EQ(st.completed, ids.size());
+  EXPECT_EQ(st.terminal(), ids.size());
+
+  // Detached: a late (rejected) submission stays queryable again.
+  router.set_on_terminal(nullptr);
+  const serve::Submitted late = router.submit(work_spec(5));
+  EXPECT_FALSE(late.admitted);
+  EXPECT_EQ(router.wait(late.id).state, serve::JobState::Rejected);
+  EXPECT_EQ(router.results().size(), 1u);
+}
+
+/// One job through a router whose only shard is the scripted fake worker
+/// answering with `hash` as the witness.
+serve::JobResult run_with_fake_witness(const std::string& hash) {
+  TempDir dir;
+  RouterOptions opt = e2e_options(dir, 1);
+  opt.worker_cmd = FAKE_SHARD_BIN;
+  opt.worker_args = {"--hash", hash};
+  opt.max_restarts = 0;
+  Router router(opt);
+  router.start();
+  const serve::Submitted sub = router.submit(work_spec(0));
+  EXPECT_TRUE(sub.admitted) << sub.detail;
+  const serve::JobResult r = router.wait(sub.id);
+  router.shutdown(/*drain=*/false);
+  return r;
+}
+
+TEST(ShardRouterE2E, MalformedWitnessFailsTheJobNamingTheShard) {
+  // Control: the fake's well-formed witness is forwarded as its value.
+  const serve::JobResult good = run_with_fake_witness("00ABcdef12345678");
+  EXPECT_EQ(good.state, serve::JobState::Done) << good.detail;
+  EXPECT_EQ(good.output_hash, 0xabcdef12345678u);
+  // strtoull would have turned these into 0, 0x12 and ULLONG_MAX.
+  for (const std::string bad : {"", "12g", "1ffffffffffffffff"}) {
+    const serve::JobResult r = run_with_fake_witness(bad);
+    EXPECT_EQ(r.state, serve::JobState::Failed) << "'" << bad << "'";
+    EXPECT_NE(r.detail.find("shard 0"), std::string::npos) << r.detail;
+    EXPECT_NE(r.detail.find("malformed output_hash"), std::string::npos)
+        << r.detail;
+    EXPECT_EQ(r.output_hash, 0u);
+  }
 }
 
 }  // namespace

@@ -103,7 +103,8 @@ smoke_telemetry() {
 # hsi-loadgen, which exits nonzero unless every request got exactly one
 # terminal response and every completed job's output hash matches the
 # file-mode report byte for byte. Finally SIGTERM must drain the server
-# to a clean zero exit.
+# to a clean zero exit whose exit summary -- fed by the backend's
+# counters, not by retained job records -- accounts for all 24 jobs.
 smoke_net() {
   local dir="$1"
   local out
@@ -123,7 +124,8 @@ smoke_net() {
           --requests examples/net_requests.jsonl --clients 3 --count 8 \
           --expect-report "$out/file_report.json" > "$out/loadgen.log" \
      && kill -TERM "$served_pid" \
-     && wait "$served_pid"; then
+     && wait "$served_pid" \
+     && grep -q '^24/24 done, 24/24 terminal$' "$out/served.log"; then
     ok=1
   fi
   if [ "$ok" != 1 ]; then
@@ -141,7 +143,8 @@ smoke_net() {
 # across them. hsi-loadgen must see every request answered exactly once
 # with hashes equal to the single-process file-mode report (bit-identical
 # outputs for any shard count), and SIGTERM must drain the router, its
-# workers, and the front door to a clean zero exit.
+# workers, and the front door to a clean zero exit whose counter-fed exit
+# summary accounts for all 24 jobs.
 smoke_shard() {
   local dir="$1"
   local out
@@ -161,7 +164,8 @@ smoke_shard() {
           --requests examples/net_requests.jsonl --clients 3 --count 8 \
           --expect-report "$out/file_report.json" > "$out/loadgen.log" \
      && kill -TERM "$served_pid" \
-     && wait "$served_pid"; then
+     && wait "$served_pid" \
+     && grep -q '^24/24 done, 24/24 terminal$' "$out/served.log"; then
     ok=1
   fi
   if [ "$ok" != 1 ]; then
@@ -193,6 +197,11 @@ CTEST_ARGS=("$@")
 
 echo "==> Release"
 run_config build-release -DCMAKE_BUILD_TYPE=Release
+# The soak battery again, explicitly by label: per-request memory growth
+# of a long-running front door must fail the check even when extra ctest
+# args filtered the soak tests out of the run above. Its RSS bound only
+# means something in an uninstrumented build, so this is its home.
+ctest --test-dir build-release --output-on-failure -L soak
 smoke_profile build-release
 smoke_bench_engines build-release
 smoke_served build-release
