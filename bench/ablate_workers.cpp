@@ -4,8 +4,8 @@
 // (stream/scheduler.hpp) exploits that with one simulated device per
 // worker. This bench sweeps the worker count on a fixed many-chunk scene
 // and reports, per count: simulator wall-clock time (host parallelism --
-// meaningful only when the host has cores to spare; host_cpus is recorded
-// alongside), the modeled parallel schedule (wave-max compute plus the
+// meaningful only when the host has cores to spare; the report records
+// host_cpus), the modeled parallel schedule (wave-max compute plus the
 // serialized bus, the number a multi-device deployment of the paper's
 // pipeline would see), and a bit-identity check against the sequential
 // run, since speed is only interesting if the answer is unchanged.
@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
@@ -49,11 +48,9 @@ int main(int argc, char** argv) {
     return opt;
   };
 
-  const unsigned host_cpus = std::thread::hardware_concurrency();
   const core::AmcGpuReport base = core::morphology_gpu(cube, se, options_for(1));
 
   bench::JsonReport json("parallel_chunks");
-  json.add("scene", "host_cpus", static_cast<double>(host_cpus));
   json.add("scene", "chunks", static_cast<double>(base.chunk_count));
   json.add("scene", "pixels", static_cast<double>(full));
   json.add("scene", "bands", static_cast<double>(bands));
@@ -105,7 +102,7 @@ int main(int argc, char** argv) {
               "Ablation: chunk-parallel workers (" + std::to_string(size) + "x" +
                   std::to_string(size) + "x" + std::to_string(bands) + ", " +
                   std::to_string(base.chunk_count) + " chunks, host_cpus=" +
-                  std::to_string(host_cpus) + ")");
+                  std::to_string(bench::host_cpus()) + ")");
   json.write(json_path);
   return 0;
 }

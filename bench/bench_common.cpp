@@ -4,11 +4,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace hs::bench {
+
+unsigned host_cpus() { return std::thread::hardware_concurrency(); }
 
 void JsonReport::add(const std::string& bench, const std::string& key,
                      double value) {
@@ -40,7 +43,8 @@ bool JsonReport::write(const std::string& path) const {
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return std::string(buf);
   };
-  os << "{\n  \"name\": \"" << name_ << "\",\n  \"results\": [\n";
+  os << "{\n  \"name\": \"" << name_ << "\",\n  \"host_cpus\": "
+     << host_cpus() << ",\n  \"results\": [\n";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     os << "    {\"bench\": \"" << rows_[r].bench << "\"";
     for (const auto& [key, value] : rows_[r].values) {

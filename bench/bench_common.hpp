@@ -105,10 +105,14 @@ struct ModelRow {
 /// vectorized build) plus calibrated GPU extrapolation for both devices.
 std::vector<ModelRow> modeled_exec_rows(bool vectorized);
 
+/// CPUs the host offers (std::thread::hardware_concurrency). Host wall
+/// times mean little without it, so every JsonReport records it.
+unsigned host_cpus();
+
 /// Machine-readable benchmark results. Each named benchmark accumulates
 /// (key, value) pairs; write() serializes everything as
-/// `BENCH_<name>.json` so sweep scripts can diff runs without scraping
-/// table output.
+/// `BENCH_<name>.json`, stamped with `host_cpus`, so sweep scripts can
+/// diff runs without scraping table output.
 class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}

@@ -17,7 +17,6 @@
 #include <iostream>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -410,9 +409,6 @@ bool run_engine_comparison(const std::string& json_path) {
       report.add(bench, "speedup", t.speedup());
       report.add(bench, "bit_identical", t.identical ? 1 : 0);
       report.add(bench, "modeled_seconds", t.modeled_seconds);
-      // Pipes run on host threads, so wall times depend on the CPU count.
-      report.add(bench, "host_cpus",
-                 static_cast<double>(std::thread::hardware_concurrency()));
     };
     emit("device_pass_sid", t_sid);
     emit("device_pass_mei", t_mei);

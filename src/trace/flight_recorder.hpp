@@ -5,11 +5,11 @@
 // Each thread records fixed-size FlightEvents into its own ring buffer
 // (fixed byte budget, overwrite-oldest). Recording is one uncontended
 // mutex acquisition plus a struct copy -- no allocation, no formatting --
-// so it stays on even in production runs; the cost is bounded by the
-// bench in BENCH_trace_overhead.json. On a trigger (job failure, retry
-// exhaustion, deadline expiry, or a fatal signal via
-// install_flight_signal_dump) the recorder dumps every thread's surviving
-// events, merged and time-sorted, to a strict-JSON file
+// so it stays on even in production runs; its cost falls inside the
+// telemetry budget that perfbench's trace.overhead_pct measures. On a
+// trigger (job failure, retry exhaustion, deadline expiry, or a fatal
+// signal via install_flight_signal_dump) the recorder dumps every
+// thread's surviving events, merged and time-sorted, to a strict-JSON file
 // (schema "hs.flight.v1", validated by trace/json_check).
 //
 // `kind` must be a string literal (stored by pointer, like span arg

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -290,13 +292,25 @@ std::uint64_t direct_hash(const serve::JobSpec& spec) {
   return hash;
 }
 
-TEST(CacheServer, SecondSubmissionIsServedFromCacheBitIdentical) {
+}  // namespace
+
+// Names the kind in ctest's parameter comment (ADL finds it here).
+namespace serve {
+void PrintTo(JobKind kind, std::ostream* os) { *os << to_string(kind); }
+}  // namespace serve
+
+namespace {
+
+/// The result cache's witness contract: a second submission of `kind` is a
+/// cache hit whose output is bit-identical to the live run and the witness.
+void expect_second_submission_cached(serve::JobKind kind) {
   serve::ServerOptions options;
   options.result_cache_bytes = 8 << 20;
   options.scene_cache_bytes = 8 << 20;
   serve::Server server(options);
 
-  const serve::JobSpec spec = cacheable_spec();
+  serve::JobSpec spec = cacheable_spec();
+  spec.kind = kind;
   const auto first = server.submit(spec);
   ASSERT_TRUE(first.admitted);
   const serve::JobResult live = server.wait(first.id);
@@ -317,15 +331,31 @@ TEST(CacheServer, SecondSubmissionIsServedFromCacheBitIdentical) {
   EXPECT_EQ(hit.modeled_seconds, live.modeled_seconds);
   EXPECT_EQ(hit.chunk_count, live.chunk_count);
   // keep_payloads defaults on: the cached payload is the live payload.
-  ASSERT_EQ(hit.mei.size(), live.mei.size());
-  for (std::size_t i = 0; i < live.mei.size(); ++i) {
-    ASSERT_EQ(hit.mei[i], live.mei[i]) << "pixel " << i;
-  }
+  EXPECT_EQ(hit.mei, live.mei);
+  EXPECT_EQ(hit.labels, live.labels);
 
   const cache::CacheStats rs = server.result_cache_stats();
   EXPECT_EQ(rs.hits, 1u);
   EXPECT_EQ(rs.misses, 1u);
 }
+
+TEST(CacheServer, SecondSubmissionIsServedFromCacheBitIdentical) {
+  expect_second_submission_cached(serve::JobKind::Morphology);
+}
+
+/// The same contract holds for the other job kinds.
+class CacheServerKinds : public ::testing::TestWithParam<serve::JobKind> {};
+
+TEST_P(CacheServerKinds, SecondSubmissionIsServedFromCacheBitIdentical) {
+  expect_second_submission_cached(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, CacheServerKinds,
+    ::testing::Values(serve::JobKind::Classify, serve::JobKind::Unmix),
+    [](const ::testing::TestParamInfo<serve::JobKind>& kind) {
+      return std::string(serve::to_string(kind.param));
+    });
 
 TEST(CacheServer, CacheIsOffByDefault) {
   serve::ServerOptions options;

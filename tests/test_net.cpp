@@ -844,6 +844,10 @@ TEST(NetServerLoop, ShedQueuedJobStreams429) {
     finished.insert(done->client_id);
   }
   EXPECT_EQ(finished, (std::set<std::uint64_t>{1, 3}));
+  // Shedding drops nothing silently and answers nothing twice: exactly
+  // one terminal frame per request.
+  EXPECT_FALSE(client.read_frame(0.3, &error).has_value());
+  EXPECT_EQ(error, "timeout");
 
   client.close();
   ns.stop(true);

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -22,6 +25,7 @@
 #include "serve/job_queue.hpp"
 #include "serve/request.hpp"
 #include "serve/timeline.hpp"
+#include "trace/histogram.hpp"
 #include "trace/json_check.hpp"
 #include "trace/trace.hpp"
 
@@ -480,7 +484,13 @@ TEST(ServeServer, SaturationShedsLowestPriorityYoungestFirst) {
   EXPECT_EQ(server.wait(running.id).state, JobState::Done);
   EXPECT_EQ(server.wait(low_old.id).state, JobState::Done);
   EXPECT_EQ(server.wait(normal.id).state, JobState::Done);
-  EXPECT_EQ(server.wait(high.id).state, JobState::Done);
+  // Load around a job never changes its answer: the High arrival that
+  // forced the shed still reproduces a direct pipeline call.
+  const JobResult survivor = server.wait(high.id);
+  EXPECT_EQ(survivor.state, JobState::Done);
+  EXPECT_EQ(survivor.output_hash,
+            direct_output_hash(
+                small_spec(JobKind::Morphology, "high", Priority::High)));
 }
 
 TEST(ServeServer, NoSheddingWhenPolicyDisablesIt) {
@@ -897,6 +907,92 @@ TEST(ServeTraceIntegration, CountersGaugesAndSpansTrackOutcomes) {
     if (e.name == "serve.job" && e.cat == "serve") saw_job_span = true;
   }
   EXPECT_TRUE(saw_job_span);
+}
+
+/// Job `i` of a mixed Morphology/Classify/Unmix burst at mixed priorities.
+JobSpec mixed_spec(int i) {
+  static constexpr JobKind kKinds[] = {JobKind::Morphology, JobKind::Classify,
+                                       JobKind::Unmix};
+  JobSpec spec = small_spec(kKinds[i % 3], "mix-" + std::to_string(i),
+                            static_cast<Priority>(i % 3));
+  spec.scene.seed = static_cast<std::uint64_t>(60 + i % 4);
+  return spec;
+}
+
+/// Submits `jobs` mixed jobs in one burst, drains, and returns the results
+/// of the jobs that finished Done.
+std::vector<JobResult> drain_mixed_batch(const ServerOptions& options,
+                                         int jobs) {
+  Server server(options);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < jobs; ++i) ids.push_back(server.submit(mixed_spec(i)).id);
+  server.shutdown(/*drain=*/true);
+  std::vector<JobResult> done;
+  for (const std::uint64_t id : ids) {
+    JobResult r = server.wait(id);
+    if (r.state == JobState::Done) done.push_back(std::move(r));
+  }
+  return done;
+}
+
+TEST(ServeTraceIntegration, WitnessesIdenticalWithTracingOnAndOff) {
+  // Telemetry must never perturb functional outputs: every job's witness
+  // is the same with runtime tracing off and on, at every worker count.
+  constexpr int kJobs = 9;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    ServerOptions options;
+    options.workers = workers;
+    options.keep_payloads = false;
+    std::map<std::string, std::uint64_t> witness[2];
+    for (const bool traced : {false, true}) {
+      trace::reset();
+      trace::set_enabled(traced);
+      for (const JobResult& r : drain_mixed_batch(options, kJobs)) {
+        witness[traced][r.name] = r.output_hash;
+      }
+      trace::set_enabled(false);
+      EXPECT_EQ(trace::event_count() > 0, traced) << "workers " << workers;
+    }
+    EXPECT_EQ(witness[false].size(), static_cast<std::size_t>(kJobs))
+        << "workers " << workers;
+    EXPECT_EQ(witness[true], witness[false]) << "workers " << workers;
+  }
+}
+
+/// The ceil(q*n)-th smallest sample: the rank HistogramSnapshot::quantile
+/// locates, so the two agree to within that sample's bucket width.
+double rank_percentile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(
+      std::max(1.0, std::ceil(q * static_cast<double>(v.size()))));
+  return v[std::min(rank, v.size()) - 1];
+}
+
+TEST(ServeTraceIntegration, TotalLatencyHistogramMatchesExactPercentiles) {
+  trace::reset_histograms();
+  ServerOptions options;
+  options.workers = 2;
+  options.keep_payloads = false;
+  // The burst overflows the queue, so only the Done jobs may be counted.
+  options.admission.max_queue_depth = 4;
+  const std::vector<JobResult> done = drain_mixed_batch(options, 16);
+  ASSERT_FALSE(done.empty());
+  std::vector<double> total_s;
+  for (const JobResult& r : done) {
+    total_s.push_back(r.queue_seconds + r.run_seconds);
+  }
+
+  trace::HistogramSnapshot hist;
+  for (auto& [name, snap] : trace::histograms_snapshot()) {
+    if (name == "serve.total_s") hist = std::move(snap);
+  }
+  EXPECT_EQ(hist.count, done.size());
+  for (const double q : {0.50, 0.95, 0.99}) {
+    const double exact = rank_percentile(total_s, q);
+    EXPECT_NEAR(hist.quantile(q), exact,
+                trace::Histogram::bucket_width_at(exact))
+        << "q = " << q;
+  }
 }
 
 #endif  // HS_TRACE_ENABLED

@@ -332,17 +332,22 @@ std::size_t wait_for_shards(const Router& router, std::size_t n) {
   return router.alive_shards();
 }
 
-TEST(ShardRouterE2E, TwoShardsMatchTheSingleProcessWitness) {
+/// The sharded tier reproduces the single-process witness at every shard
+/// count, and consistent hashing spreads the batch over every shard.
+class ShardRouterWitness : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ShardRouterWitness, MatchesTheSingleProcessWitness) {
+  const std::size_t shards = GetParam();
   std::vector<serve::JobSpec> specs;
   for (int i = 0; i < 18; ++i) specs.push_back(work_spec(i));
   const auto expected = baseline_hashes(specs);
 
   TempDir dir;
-  Router router(e2e_options(dir, 2));
+  Router router(e2e_options(dir, shards));
   router.start();
   // Otherwise a slow spawn sends every job to the first shard and the
-  // both-shards-worked check below fails.
-  ASSERT_EQ(wait_for_shards(router, 2), 2u);
+  // every-shard-worked check below fails.
+  ASSERT_EQ(wait_for_shards(router, shards), shards);
   std::vector<std::uint64_t> ids;
   for (const serve::JobSpec& s : specs) {
     const serve::Submitted sub = router.submit(s);
@@ -356,7 +361,7 @@ TEST(ShardRouterE2E, TwoShardsMatchTheSingleProcessWitness) {
   }
   router.shutdown(/*drain=*/true);
 
-  // Both shards did real work, and the stats add up.
+  // Every shard did real work, and the stats add up.
   const Router::Stats st = router.stats();
   EXPECT_EQ(st.submitted, specs.size());
   EXPECT_EQ(st.completed, specs.size());
@@ -365,8 +370,11 @@ TEST(ShardRouterE2E, TwoShardsMatchTheSingleProcessWitness) {
   for (const Router::ShardStats& s : router.shard_stats()) {
     if (s.done > 0) ++shards_used;
   }
-  EXPECT_EQ(shards_used, 2u);
+  EXPECT_EQ(shards_used, shards);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardRouterWitness,
+                         ::testing::Values(1u, 2u, 4u));
 
 TEST(ShardRouterE2E, EqualFingerprintsRouteToOneShardAndHitItsCache) {
   // 4 distinct specs, submitted 4 times each: affinity sends repeats to

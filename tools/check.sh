@@ -178,18 +178,47 @@ smoke_shard() {
   rm -rf "$out"
 }
 
-# Engine-comparison bench: regenerate the engine table off the ctest path
-# and check the JSON carries the engine metrics. The run compares the
-# interpreter's and the SoA engine's output texels and pass statistics and
-# exits non-zero on any mismatch, so this doubles as an end-to-end engine
-# smoke.
-smoke_bench_engines() {
+# Every bench runs once per check, so none can rot unseen: each must exit
+# 0 and write JSON stamped with host_cpus. The list comes from
+# bench/*.cpp, so a stale binary left in an old build dir is not run.
+# micro_kernels compares the interpreter's and the SoA engine's output
+# texels and pass statistics and exits non-zero on any mismatch, so it
+# doubles as an end-to-end engine smoke (=NONE skips the google-benchmark
+# timings). table3_accuracy runs on a reduced scene; the rest take a few
+# seconds each at their defaults.
+smoke_benches() {
   local dir="$1"
-  local out
+  local out src name json
+  local -a args jsons
   out="$(mktemp -d)"
-  "$dir/bench/micro_kernels" --benchmark_filter=NONE     --json "$out/bench.json" > /dev/null
-  grep -q '"wall_seconds_soa"' "$out/bench.json"
-  grep -q '"bit_identical": 1' "$out/bench.json"
+  for src in bench/*.cpp; do
+    name="$(basename "$src" .cpp)"
+    [ "$name" != bench_common ] || continue
+    case "$name" in
+      micro_kernels) args=(--benchmark_filter=NONE) ;;
+      table3_accuracy) args=(--size 32 --bands 16 --classes 4) ;;
+      *) args=() ;;
+    esac
+    mkdir "$out/$name"
+    if ! "$dir/bench/$name" "${args[@]}" --json "$out/$name" > "$out/$name.log" 2>&1; then
+      echo "bench smoke: $name failed" >&2
+      cat "$out/$name.log" >&2
+      return 1
+    fi
+    jsons=("$out/$name"/*.json)
+    if [ ! -f "${jsons[0]}" ]; then
+      echo "bench smoke: $name wrote no JSON" >&2
+      return 1
+    fi
+    for json in "${jsons[@]}"; do
+      if ! grep -q '"host_cpus"' "$json"; then
+        echo "bench smoke: $json records no host_cpus" >&2
+        return 1
+      fi
+    done
+  done
+  grep -q '"wall_seconds_soa"' "$out/micro_kernels/BENCH_micro_kernels.json"
+  grep -q '"bit_identical": 1' "$out/micro_kernels/BENCH_micro_kernels.json"
   rm -rf "$out"
 }
 
@@ -203,7 +232,7 @@ run_config build-release -DCMAKE_BUILD_TYPE=Release
 # means something in an uninstrumented build, so this is its home.
 ctest --test-dir build-release --output-on-failure -L soak
 smoke_profile build-release
-smoke_bench_engines build-release
+smoke_benches build-release
 smoke_served build-release
 smoke_cache build-release
 smoke_telemetry build-release
