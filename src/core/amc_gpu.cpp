@@ -177,9 +177,9 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
   }
 
   // ---- chunk plan ----------------------------------------------------------
-  // The planning device never draws; it exists so the auto budget sees the
-  // profile's full video memory -- exactly what every (fresh) worker
-  // device will have.
+  // The planning device never draws (so it starts no helper threads); it
+  // exists so the auto budget sees the profile's full video memory --
+  // exactly what every (fresh) worker device will have.
   gpusim::Device planner(options.profile, sim);
   const int halo = 2 * se.radius;
   const std::uint64_t budget =
@@ -213,13 +213,11 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
       stream::resolve_workers(options.workers));
   gpusim::SimConfig worker_sim = sim;
   if (workers > 1 && sim.worker_threads == 0) {
-    // Concurrent devices share the host: split the threads one sequential
+    // Concurrent devices share the host: split the runners one sequential
     // device would auto-size across the workers instead of nesting full
     // pools. Functional results are independent of worker_threads.
-    worker_sim.worker_threads = stream::per_worker_device_threads(
-        util::ThreadPool::clamp_to_hardware(
-            static_cast<std::size_t>(options.profile.fragment_pipes)),
-        workers);
+    worker_sim.worker_threads =
+        stream::per_worker_device_threads(planner.runners(), workers);
   }
   if (workers > 1 && !worker_sim.shared_programs) {
     // Worker clones re-draw the same few programs; share one lowering.
@@ -269,9 +267,9 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
     TransferMark upload_mark(device);
     stream::BandStack raw(device, cw, ch, bands,
                           gpusim::AddressMode::ClampToEdge, stack_fmt);
-    raw.upload([&](int x, int y, int b) {
-      return cube.at(chunk.px0 + x, chunk.py0 + y, b);
-    });
+    const hsi::HyperCube::Strides strides = cube.strides();
+    raw.upload(cube.raw().data() + cube.index(chunk.px0, chunk.py0, 0),
+               strides.x, strides.y, strides.band);
     const double upload_delta =
         device.totals().transfer.modeled_upload_seconds - upload_mark.upload_s;
     exec.add_stage_time(kStageUpload, upload_delta);

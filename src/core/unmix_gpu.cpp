@@ -139,8 +139,9 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
       gpusim::assemble_or_die("argmax", argmax_source(c));
 
   // ---- device & chunking (no halo: per-pixel work) --------------------------
-  // The planning device never draws; worker devices are blank clones with
-  // the same free video memory, so the auto budget holds for all of them.
+  // The planning device never draws (so it starts no helper threads);
+  // worker devices are blank clones with the same free video memory, so
+  // the auto budget holds for all of them.
   gpusim::Device planner(options.profile, options.sim);
   const std::uint64_t per_texel = static_cast<std::uint64_t>(groups) * 16 +
                                   2 * 4 +
@@ -184,10 +185,8 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
       std::max(worker_sim.program_cache_capacity,
                static_cast<std::size_t>(c * groups + 8));
   if (workers > 1 && options.sim.worker_threads == 0) {
-    worker_sim.worker_threads = stream::per_worker_device_threads(
-        util::ThreadPool::clamp_to_hardware(
-            static_cast<std::size_t>(options.profile.fragment_pipes)),
-        workers);
+    worker_sim.worker_threads =
+        stream::per_worker_device_threads(planner.runners(), workers);
   }
   if (workers > 1 && !worker_sim.shared_programs) {
     // Worker clones re-draw the same few programs; share one lowering.
@@ -225,9 +224,9 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
 
     trace::Span upload_span("stream_upload", "stage");
     stream::BandStack raw(device, cw, ch, bands);
-    raw.upload([&](int x, int y, int b) {
-      return cube.at(chunk.px0 + x, chunk.py0 + y, b);
-    });
+    const hsi::HyperCube::Strides strides = cube.strides();
+    raw.upload(cube.raw().data() + cube.index(chunk.px0, chunk.py0, 0),
+               strides.x, strides.y, strides.band);
     upload_span.end();
 
     stream::PingPong accum(device, cw, ch, TextureFormat::R32F);

@@ -10,20 +10,41 @@
 namespace hs::gpusim {
 
 namespace {
-std::size_t resolve_threads(const SimConfig& config, int pipes) {
-  if (config.worker_threads > 0) return config.worker_threads;
-  return util::ThreadPool::clamp_to_hardware(static_cast<std::size_t>(pipes));
+/// SimConfig::worker_threads resolved: at least one runner, at most one
+/// per logical pipe.
+std::size_t resolve_runners(const SimConfig& config, int pipes) {
+  const auto max = static_cast<std::size_t>(pipes);
+  if (config.worker_threads > 0) return std::min(config.worker_threads, max);
+  return util::ThreadPool::clamp_to_hardware(max);
 }
+
+/// Work one runner must have before a pass adds it, in the units of
+/// Device::pass_runners: ALU instructions plus 4 per texture fetch, the
+/// counts the engines charge per fragment. A traced amc_scene job
+/// (128x128x64 in 9 chunks of 48x48 to 64x64 texels, SoA, on a 4-CPU
+/// host) runs 712 passes. Its 463 `clear`, `band_sum`, `normalize`,
+/// `weighted_sum` and `pack_*` passes carry 2K-45K units and took a median
+/// 10-32 us inline but 27-56 us over five threads, so for them the
+/// fork-join costs more than the pass. The heavy passes run at 0.8-5 ns
+/// per unit (`cumdist_fused`: 302K units in 234 us inline), so 32K units
+/// give each added runner 25 us or more of its own work, more than the
+/// 10-20 us a fork-join adds. With this grain those 463 passes (and the
+/// 2K-45K-unit `log` passes) run inline, `argmax` (66K) and `mei`
+/// (69K-123K) take 2-3 runners, and `minmax_offsets` (223K-397K) and
+/// `cumdist_fused` (302K-537K) take every runner.
+constexpr std::uint64_t kPassGrain = 32768;
 
 /// Attaches the pass statistics to its trace span: the modeled time next
 /// to the span's own wall duration, the work counters, both DRAM traffic
 /// estimates (cache-miss bytes and compulsory unique-tile bytes) and, with
 /// the cache model on, how the cache totals were obtained (`replay`:
-/// "full" replay or reused from the "memo").
+/// "full" replay or reused from the "memo"), and how many host threads ran
+/// the pass (`runners`).
 void annotate_pass_span(trace::Span& span, const PassStats& stats,
-                        const char* replay) {
+                        const char* replay, std::size_t runners) {
   if (!span.active()) return;
   if (replay != nullptr) span.arg("replay", replay);
+  span.arg("runners", static_cast<double>(runners));
   span.arg("width", stats.width);
   span.arg("height", stats.height);
   span.arg("fragments", static_cast<double>(stats.fragments));
@@ -79,7 +100,9 @@ Device::Device(DeviceProfile profile, SimConfig config)
       program_cache_(config.program_cache_capacity),
       trace_memo_hits_(&trace::counter("gpusim.replay_memo.hit")),
       trace_memo_misses_(&trace::counter("gpusim.replay_memo.miss")),
-      pool_(resolve_threads(config, profile_.fragment_pipes)) {
+      trace_dispatch_inline_(&trace::counter("gpusim.dispatch.inline")),
+      trace_dispatch_fanout_(&trace::counter("gpusim.dispatch.fanout")),
+      runners_(resolve_runners(config, profile_.fragment_pipes)) {
   HS_ASSERT(profile_.fragment_pipes > 0);
   program_cache_.set_shared_store(config_.shared_programs);
   TextureCacheConfig cache_config;
@@ -333,6 +356,35 @@ PassCacheTotals Device::collect_cache_totals(
   return totals;
 }
 
+std::size_t Device::pass_runners(const FragmentProgram& program,
+                                 std::uint64_t fragments) const {
+  const std::uint64_t work =
+      fragments * static_cast<std::uint64_t>(program.alu_instruction_count() +
+                                             4 * program.tex_instruction_count());
+  return std::clamp<std::size_t>(static_cast<std::size_t>(work / kPassGrain), 1,
+                                 runners_);
+}
+
+void Device::run_pipes(std::size_t runners,
+                       const std::function<void(std::size_t)>& run_pipe) {
+  const auto pipes = static_cast<std::size_t>(profile_.fragment_pipes);
+  if (runners <= 1) {
+    ++passes_inline_;
+    trace_dispatch_inline_->increment();
+    for (std::size_t p = 0; p < pipes; ++p) run_pipe(p);
+    return;
+  }
+  ++passes_fanned_out_;
+  trace_dispatch_fanout_->increment();
+  if (!pool_) pool_ = std::make_unique<util::ThreadPool>(runners_ - 1);
+  // One index per runner (the pool's blocks are single indices while
+  // runners <= its threads + 1), each a contiguous range of pipes.
+  pool_->parallel_for(runners, [&](std::size_t r) {
+    const std::size_t end = (r + 1) * pipes / runners;
+    for (std::size_t p = r * pipes / runners; p < end; ++p) run_pipe(p);
+  });
+}
+
 PassStats Device::finalize_pass(const FragmentProgram& program,
                                 const BoundPass& bound, std::uint64_t fragments,
                                 std::span<const ExecCounters> pipe_counters,
@@ -462,7 +514,9 @@ PassStats Device::draw(const FragmentProgram& program,
       }
     }
   };
-  pool_.parallel_for(static_cast<std::size_t>(pipes), run_pipe);
+  const std::size_t runners = pass_runners(
+      program, static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height));
+  run_pipes(runners, run_pipe);
 
   PassCacheTotals cache_totals;
   if (memoized != nullptr) {
@@ -477,7 +531,7 @@ PassStats Device::draw(const FragmentProgram& program,
       pipe_counters, cache_totals);
   const char* replay = nullptr;
   if (config_.texture_cache) replay = memoized != nullptr ? "memo" : "full";
-  annotate_pass_span(span, stats, replay);
+  annotate_pass_span(span, stats, replay, runners);
   return stats;
 }
 
@@ -536,14 +590,14 @@ PassStats Device::draw_fragments(const FragmentProgram& program,
   // A fragment list may hit the same texel more than once (overlapping
   // triangles); hardware ROPs apply such writes in primitive order, but
   // the concurrent pipe partition would race on the texel. When any texel
-  // repeats, execute the partitions serially in pipe order instead:
-  // partitions are contiguous and ascending, so stores land in global
-  // fragment order -- deterministic, race-free, and identical to what the
-  // pipes would produce with ordered ROPs. Counters, cache statistics and
-  // modeled time are unaffected either way (keyed by logical pipe, not by
-  // OS thread).
-  bool overlapping = false;
-  {
+  // repeats, execute the partitions serially in pipe order instead (one
+  // runner): partitions are contiguous and ascending, so stores land in
+  // global fragment order -- deterministic, race-free, and identical to
+  // what the pipes would produce with ordered ROPs. Counters, cache
+  // statistics and modeled time are unaffected either way (keyed by
+  // logical pipe, not by OS thread).
+  std::size_t runners = pass_runners(program, n);
+  if (runners > 1) {
     std::vector<std::uint8_t> hit(
         static_cast<std::size_t>(bound.width) *
         static_cast<std::size_t>(bound.height), 0);
@@ -552,21 +606,18 @@ PassStats Device::draw_fragments(const FragmentProgram& program,
                                    static_cast<std::size_t>(bound.width) +
                                static_cast<std::size_t>(f.x)];
       if (cell != 0) {
-        overlapping = true;
+        runners = 1;
         break;
       }
       cell = 1;
     }
   }
-  if (overlapping) {
-    for (int p = 0; p < pipes; ++p) run_pipe(static_cast<std::size_t>(p));
-  } else {
-    pool_.parallel_for(static_cast<std::size_t>(pipes), run_pipe);
-  }
+  run_pipes(runners, run_pipe);
 
   const PassStats stats = finalize_pass(
       program, bound, n, pipe_counters, collect_cache_totals(bound, pipe_tiles));
-  annotate_pass_span(span, stats, config_.texture_cache ? "full" : nullptr);
+  annotate_pass_span(span, stats, config_.texture_cache ? "full" : nullptr,
+                     runners);
   return stats;
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -61,10 +62,13 @@ bool parse_exec_engine(std::string_view name, ExecEngine& out);
 const char* exec_engine_name(ExecEngine engine);
 
 struct SimConfig {
-  /// OS worker threads executing simulated pipes. 0 = auto
-  /// (min(hardware_concurrency, fragment_pipes)). Functional results and
-  /// all statistics are independent of this value: work and caches are
-  /// partitioned by *logical* pipe, threads only multiplex them.
+  /// Host threads that may execute one pass ("runners"), the drawing
+  /// thread included; clamped to the profile's fragment pipes. 0 = auto
+  /// (min(hardware_concurrency, fragment_pipes)). The device starts
+  /// runners - 1 helper threads, on its first pass that fans out, and
+  /// sizes each pass's fan-out to its work (see Device::draw). Functional
+  /// results and all statistics are independent of this value: work and
+  /// caches are partitioned by *logical* pipe, threads only multiplex them.
   std::size_t worker_threads = 0;
   /// Simulate the per-pipe texture cache (stats + timing). Off = every
   /// fetch is modeled as full-texel memory traffic.
@@ -225,6 +229,17 @@ class Device {
   std::uint64_t replay_memo_hits() const { return replay_memo_hits_; }
   std::uint64_t replay_memo_misses() const { return replay_memo_misses_; }
 
+  /// Most host threads one pass may run on: the resolved
+  /// SimConfig::worker_threads.
+  std::size_t runners() const { return runners_; }
+  /// Passes run whole on the drawing thread vs fanned out over several
+  /// runners (for tests and tools).
+  std::uint64_t passes_inline() const { return passes_inline_; }
+  std::uint64_t passes_fanned_out() const { return passes_fanned_out_; }
+  /// Helper threads started so far: 0 until the first pass that fans
+  /// out, runners() - 1 after it.
+  std::size_t helper_threads() const { return pool_ ? pool_->thread_count() : 0; }
+
  private:
   struct Slot {
     std::unique_ptr<Texture2D> texture;
@@ -248,6 +263,14 @@ class Device {
                            std::span<TileTouchTracker> pipe_tiles);
   PassCacheTotals collect_cache_totals(
       const BoundPass& bound, std::span<const TileTouchTracker> pipe_tiles);
+  /// Runners a pass of `fragments` fragments of `program` pays for.
+  std::size_t pass_runners(const FragmentProgram& program,
+                           std::uint64_t fragments) const;
+  /// Runs run_pipe(p) for every logical pipe p on `runners` host threads,
+  /// each taking a contiguous range of pipes; one runner runs them in
+  /// pipe order on the calling thread.
+  void run_pipes(std::size_t runners,
+                 const std::function<void(std::size_t)>& run_pipe);
   PassStats finalize_pass(const FragmentProgram& program, const BoundPass& bound,
                           std::uint64_t fragments,
                           std::span<const ExecCounters> pipe_counters,
@@ -263,10 +286,15 @@ class Device {
   ProgramCache program_cache_;
   std::uint64_t replay_memo_hits_ = 0;
   std::uint64_t replay_memo_misses_ = 0;
+  std::uint64_t passes_inline_ = 0;
+  std::uint64_t passes_fanned_out_ = 0;
   // Process-global trace counters, like ProgramCache's.
   trace::Counter* trace_memo_hits_;
   trace::Counter* trace_memo_misses_;
-  util::ThreadPool pool_;
+  trace::Counter* trace_dispatch_inline_;
+  trace::Counter* trace_dispatch_fanout_;
+  std::size_t runners_;
+  std::unique_ptr<util::ThreadPool> pool_;  // runners_ - 1 helpers, lazily
   DeviceTotals totals_;
 };
 

@@ -24,18 +24,20 @@ HyperCube::HyperCube(int width, int height, int bands, Interleave interleave)
 std::size_t HyperCube::index(int x, int y, int band) const {
   HS_DEBUG_ASSERT(x >= 0 && x < width_ && y >= 0 && y < height_ && band >= 0 &&
                   band < bands_);
-  const auto sx = static_cast<std::size_t>(x);
-  const auto sy = static_cast<std::size_t>(y);
-  const auto sb = static_cast<std::size_t>(band);
-  const auto w = static_cast<std::size_t>(width_);
-  const auto h = static_cast<std::size_t>(height_);
-  const auto n = static_cast<std::size_t>(bands_);
+  const Strides s = strides();
+  return static_cast<std::size_t>(x * s.x + y * s.y + band * s.band);
+}
+
+HyperCube::Strides HyperCube::strides() const {
+  const auto w = static_cast<std::ptrdiff_t>(width_);
+  const auto h = static_cast<std::ptrdiff_t>(height_);
+  const auto n = static_cast<std::ptrdiff_t>(bands_);
   switch (interleave_) {
-    case Interleave::BSQ: return (sb * h + sy) * w + sx;
-    case Interleave::BIL: return (sy * n + sb) * w + sx;
-    case Interleave::BIP: return (sy * w + sx) * n + sb;
+    case Interleave::BSQ: return {1, w, w * h};
+    case Interleave::BIL: return {1, n * w, w};
+    case Interleave::BIP: return {n, w * n, 1};
   }
-  return 0;
+  return {};
 }
 
 void HyperCube::pixel(int x, int y, std::span<float> out) const {

@@ -10,6 +10,7 @@
 // vectors are contiguous) and is this library's default.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -60,6 +61,15 @@ class HyperCube {
   }
 
   std::size_t index(int x, int y, int band) const;
+
+  /// Element steps of the interleave along x, y and band: at(x + i, y + j,
+  /// b + k) is raw()[index(x, y, b) + i * x + j * y + k * band].
+  struct Strides {
+    std::ptrdiff_t x = 0;
+    std::ptrdiff_t y = 0;
+    std::ptrdiff_t band = 0;
+  };
+  Strides strides() const;
 
  private:
   int width_ = 0;

@@ -1,5 +1,7 @@
 #include "stream/stream.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace hs::stream {
@@ -35,19 +37,23 @@ BandStack::BandStack(BandStack&& other) noexcept
   other.textures_.clear();
 }
 
-void BandStack::upload(const std::function<float(int, int, int)>& sample) {
+void BandStack::upload(const float* origin, std::ptrdiff_t x_stride,
+                       std::ptrdiff_t y_stride, std::ptrdiff_t band_stride) {
   std::vector<float4> staging(static_cast<std::size_t>(width_) *
                               static_cast<std::size_t>(height_));
   for (int g = 0; g < groups(); ++g) {
-    const int b0 = g * 4;
+    const int lanes = std::min(4, bands_ - g * 4);
+    const float* group = origin + static_cast<std::ptrdiff_t>(g) * 4 * band_stride;
+    float4* out = staging.data();
     for (int y = 0; y < height_; ++y) {
-      for (int x = 0; x < width_; ++x) {
+      const float* row = group + static_cast<std::ptrdiff_t>(y) * y_stride;
+      for (int x = 0; x < width_; ++x, ++out) {
+        const float* texel = row + static_cast<std::ptrdiff_t>(x) * x_stride;
         float4 v(0.f);
-        for (int c = 0; c < 4 && b0 + c < bands_; ++c) {
-          v[static_cast<std::size_t>(c)] = sample(x, y, b0 + c);
+        for (int c = 0; c < lanes; ++c) {
+          v[static_cast<std::size_t>(c)] = texel[c * band_stride];
         }
-        staging[static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
-                static_cast<std::size_t>(x)] = v;
+        *out = v;
       }
     }
     device_->upload(textures_[static_cast<std::size_t>(g)],

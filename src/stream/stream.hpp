@@ -6,8 +6,8 @@
 // four bands per instruction. BandStack owns the textures of one chunk.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -45,9 +45,12 @@ class BandStack {
   gpusim::TextureHandle group(int g) const { return textures_[static_cast<std::size_t>(g)]; }
   std::span<const gpusim::TextureHandle> handles() const { return textures_; }
 
-  /// Uploads spectra via a sampling callback (x, y, band) -> value, one
-  /// bus transfer per group texture. Coordinates are chunk-local.
-  void upload(const std::function<float(int x, int y, int band)>& sample);
+  /// Uploads spectra from strided host memory, one bus transfer per group
+  /// texture: band b of chunk-local texel (x, y) is
+  /// origin[x * x_stride + y * y_stride + b * band_stride] (strides in
+  /// floats, as hsi::HyperCube::strides() gives them for any interleave).
+  void upload(const float* origin, std::ptrdiff_t x_stride,
+              std::ptrdiff_t y_stride, std::ptrdiff_t band_stride);
 
   std::uint64_t size_bytes() const;
 

@@ -2,12 +2,12 @@
 // groups.
 //
 // The GPU simulator partitions each rendering pass across its simulated
-// fragment pipes; those partitions are executed on this pool. The chunk
-// scheduler (stream/scheduler.hpp) runs whole pipeline chunks on a second
-// pool. The pool is sized min(requested, hardware_concurrency) so
-// functional results never depend on the host: work is split by *logical*
-// index, and a smaller pool simply multiplexes indices onto fewer OS
-// threads.
+// fragment pipes; a pass with enough work runs those partitions on this
+// pool (see gpusim::Device). The chunk scheduler (stream/scheduler.hpp)
+// runs whole pipeline chunks on a second pool. Callers size their pools
+// from hardware_concurrency, and functional results never depend on the
+// size: work is split by *logical* index, and a smaller pool simply
+// multiplexes indices onto fewer OS threads.
 //
 // Every blocking wait in this file *helps*: while waiting for its own work
 // to finish, the waiter pops and executes queued tasks. That makes nested

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gpusim/assembler.hpp"
 
 namespace hs::gpusim {
@@ -167,35 +170,180 @@ TEST(Device, MrtWritesAllTargets) {
   EXPECT_EQ(stats.bytes_written, 16u * 4 * 2);
 }
 
-TEST(Device, ResultsIndependentOfWorkerThreads) {
-  auto render = [](std::size_t threads) {
-    SimConfig cfg;
-    cfg.worker_threads = threads;
-    Device dev(tiny_profile(), cfg);
-    const TextureHandle in = dev.create_texture(16, 16, TextureFormat::RGBA32F);
-    const TextureHandle out = dev.create_texture(16, 16, TextureFormat::RGBA32F);
-    std::vector<float4> data(256);
-    for (std::size_t i = 0; i < 256; ++i) {
-      data[i] = {static_cast<float>(i), static_cast<float>(i % 7), 0, 1};
+// Programs on either side of the dispatch grain. On a 68x68 viewport
+// (17 tile rows over 24 pipes, so pipes hold 0 or 1 tile rows and runner
+// ranges are uneven) `light` is 5 work units per fragment and runs inline;
+// `heavy` -- a data-dependent fetch, three more fetches and 40 ALU
+// instructions, 56 units per fragment -- fans out to every runner.
+constexpr int kGrainViewport = 68;
+
+FragmentProgram light_program() {
+  return assemble_or_die("light",
+                         "!!HSFP1.0\n"
+                         "TEX R0, fragment.texcoord[0], texture[0];\n"
+                         "MUL result.color, R0, R0;\n"
+                         "END\n");
+}
+
+FragmentProgram heavy_program() {
+  std::string src =
+      "!!HSFP1.0\n"
+      "TEX R0, fragment.texcoord[0], texture[0];\n"
+      "TEX R1, R0, texture[0];\n"
+      "ADD R2, fragment.texcoord[0], {1.0, -1.0, 0.0, 0.0};\n"
+      "TEX R2, R2, texture[0];\n"
+      "ADD R3, fragment.texcoord[0], {-2.0, 1.0, 0.0, 0.0};\n"
+      "TEX R3, R3, texture[0];\n";
+  for (int i = 0; i < 19; ++i) {
+    src += "MAD R1, R1, {0.5}, R2;\n";
+    src += "ADD R1, R1, R3;\n";
+  }
+  src += "MOV result.color, R1;\nEND\n";
+  return assemble_or_die("heavy", src);
+}
+
+/// Every field of two PassStats, modeled time bit for bit.
+void expect_same_pass(const PassStats& a, const PassStats& b) {
+  EXPECT_EQ(a.program, b.program);
+  EXPECT_EQ(a.width, b.width);
+  EXPECT_EQ(a.height, b.height);
+  EXPECT_EQ(a.fragments, b.fragments);
+  EXPECT_EQ(a.exec.alu_instructions, b.exec.alu_instructions);
+  EXPECT_EQ(a.exec.tex_fetches, b.exec.tex_fetches);
+  EXPECT_EQ(a.exec.tex_fetch_bytes, b.exec.tex_fetch_bytes);
+  EXPECT_EQ(a.cache.accesses, b.cache.accesses);
+  EXPECT_EQ(a.cache.hits, b.cache.hits);
+  EXPECT_EQ(a.cache.misses, b.cache.misses);
+  EXPECT_EQ(a.cache_miss_bytes, b.cache_miss_bytes);
+  EXPECT_EQ(a.unique_tile_bytes, b.unique_tile_bytes);
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+  EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
+}
+
+struct GrainRun {
+  std::vector<PassStats> stats;  // light, heavy, heavy fragment list
+  std::vector<std::vector<float4>> images;
+  std::uint64_t inline_passes = 0;
+  std::uint64_t fanned_out_passes = 0;
+};
+
+/// Draws the light and heavy programs fullscreen and the heavy one over
+/// a fragment list (every texel once, bottom row first) on a 24-pipe
+/// device with `threads` runners.
+GrainRun run_grain_passes(std::size_t threads, ExecEngine engine) {
+  SimConfig cfg;
+  cfg.worker_threads = threads;
+  cfg.exec_engine = engine;
+  Device dev(geforce_7800_gtx(), cfg);
+  const int n = kGrainViewport;
+  const TextureHandle in = dev.create_texture(n, n, TextureFormat::RGBA32F);
+  std::vector<float4> data(static_cast<std::size_t>(n * n));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    // x and y in texels, so the dependent fetch lands all over the image.
+    data[i] = {static_cast<float>((i * 37) % 71) - 1.5f,
+               static_cast<float>((i * 11) % 70), static_cast<float>(i % 5),
+               1.f};
+  }
+  dev.upload(in, std::span<const float4>(data));
+  std::vector<Device::GeomFragment> frags;
+  for (int y = n - 1; y >= 0; --y) {
+    for (int x = 0; x < n; ++x) {
+      Device::GeomFragment f;
+      f.x = x;
+      f.y = y;
+      f.texcoord0 = {static_cast<float>(x) + 0.5f, static_cast<float>(y) + 0.5f,
+                     0.f, 1.f};
+      frags.push_back(f);
     }
-    dev.upload(in, std::span<const float4>(data));
-    const auto program = assemble_or_die("sq",
-                                         "!!HSFP1.0\n"
-                                         "TEX R0, fragment.texcoord[0], texture[0];\n"
-                                         "MUL result.color, R0, R0;\n"
-                                         "END\n");
-    const TextureHandle ins[1] = {in};
+  }
+
+  GrainRun run;
+  const TextureHandle ins[1] = {in};
+  for (int pass = 0; pass < 3; ++pass) {
+    const TextureHandle out = dev.create_texture(n, n, TextureFormat::RGBA32F);
     const TextureHandle outs[1] = {out};
-    const PassStats stats = dev.draw(program, ins, {}, outs);
-    return std::make_pair(dev.download(out), stats);
-  };
-  const auto [img1, stats1] = render(1);
-  const auto [img4, stats4] = render(4);
-  EXPECT_EQ(img1, img4);
-  // Cache statistics are per *logical pipe*, so they match too.
-  EXPECT_EQ(stats1.cache.misses, stats4.cache.misses);
-  EXPECT_EQ(stats1.exec.alu_instructions, stats4.exec.alu_instructions);
-  EXPECT_DOUBLE_EQ(stats1.modeled_seconds, stats4.modeled_seconds);
+    if (pass == 0) {
+      run.stats.push_back(dev.draw(light_program(), ins, {}, outs));
+    } else if (pass == 1) {
+      run.stats.push_back(dev.draw(heavy_program(), ins, {}, outs));
+    } else {
+      run.stats.push_back(dev.draw_fragments(heavy_program(), frags, ins, {}, outs));
+    }
+    run.images.push_back(dev.download(out));
+  }
+  run.inline_passes = dev.passes_inline();
+  run.fanned_out_passes = dev.passes_fanned_out();
+  return run;
+}
+
+TEST(Device, ResultsIndependentOfWorkerThreads) {
+  for (ExecEngine engine : {ExecEngine::Soa, ExecEngine::Interpreter}) {
+    const GrainRun base = run_grain_passes(1, engine);
+    for (std::size_t threads : {2, 3, 4, 7}) {
+      SCOPED_TRACE(testing::Message() << exec_engine_name(engine) << ", "
+                                      << threads << " worker threads");
+      const GrainRun run = run_grain_passes(threads, engine);
+      ASSERT_EQ(run.stats.size(), base.stats.size());
+      for (std::size_t p = 0; p < base.stats.size(); ++p) {
+        EXPECT_EQ(run.images[p], base.images[p]);
+        // Cache statistics are per *logical pipe*, so they match too.
+        expect_same_pass(run.stats[p], base.stats[p]);
+      }
+    }
+  }
+}
+
+TEST(Device, PassFansOutOnlyPastTheGrain) {
+  const GrainRun one = run_grain_passes(1, ExecEngine::Soa);
+  EXPECT_EQ(one.inline_passes, 3u);
+  EXPECT_EQ(one.fanned_out_passes, 0u);
+  // Light pass inline; the heavy fullscreen and fragment-list passes fan
+  // out.
+  const GrainRun four = run_grain_passes(4, ExecEngine::Soa);
+  EXPECT_EQ(four.inline_passes, 1u);
+  EXPECT_EQ(four.fanned_out_passes, 2u);
+}
+
+TEST(Device, HelperThreadsStartOnTheFirstFanOut) {
+  SimConfig cfg;
+  cfg.worker_threads = 3;
+  Device dev(geforce_7800_gtx(), cfg);
+  EXPECT_EQ(dev.runners(), 3u);
+  EXPECT_EQ(dev.helper_threads(), 0u);
+  const int n = kGrainViewport;
+  const TextureHandle in = dev.create_texture(n, n, TextureFormat::RGBA32F);
+  const TextureHandle out = dev.create_texture(n, n, TextureFormat::RGBA32F);
+  const TextureHandle ins[1] = {in};
+  const TextureHandle outs[1] = {out};
+  dev.draw(light_program(), ins, {}, outs);
+  EXPECT_EQ(dev.helper_threads(), 0u);
+  dev.draw(heavy_program(), ins, {}, outs);
+  EXPECT_EQ(dev.helper_threads(), 2u);
+}
+
+TEST(Device, OverlappingFragmentsRunInline) {
+  SimConfig cfg;
+  cfg.worker_threads = 4;
+  Device dev(geforce_7800_gtx(), cfg);
+  const int n = kGrainViewport;
+  const TextureHandle in = dev.create_texture(n, n, TextureFormat::RGBA32F);
+  const TextureHandle out = dev.create_texture(n, n, TextureFormat::RGBA32F);
+  // Heavy enough to fan out, but every fragment hits texel (0, 0).
+  std::vector<Device::GeomFragment> frags(static_cast<std::size_t>(n * n));
+  const TextureHandle ins[1] = {in};
+  const TextureHandle outs[1] = {out};
+  dev.draw_fragments(heavy_program(), frags, ins, {}, outs);
+  EXPECT_EQ(dev.passes_inline(), 1u);
+  EXPECT_EQ(dev.passes_fanned_out(), 0u);
+}
+
+TEST(Device, WorkerThreadsClampToPipes) {
+  SimConfig cfg;
+  cfg.worker_threads = 7;
+  EXPECT_EQ(Device(tiny_profile(), cfg).runners(), 4u);
+  cfg.worker_threads = 0;
+  EXPECT_GE(Device(tiny_profile(), cfg).runners(), 1u);
+  EXPECT_LE(Device(tiny_profile(), cfg).runners(), 4u);
 }
 
 TEST(Device, PassStatsAccumulateIntoTotals) {

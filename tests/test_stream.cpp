@@ -4,8 +4,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "gpusim/assembler.hpp"
+#include "hsi/cube.hpp"
 #include "stream/executor.hpp"
 #include "trace/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -36,9 +38,17 @@ TEST(BandStack, PacksFourBandsPerTexel) {
   Device dev(test_profile());
   BandStack stack(dev, 2, 2, 6);
   EXPECT_EQ(stack.groups(), 2);
-  stack.upload([](int x, int y, int b) {
-    return static_cast<float>(100 * b + 10 * y + x);
-  });
+  // Band-sequential host array holding 100 * band + 10 * y + x.
+  std::vector<float> host(2 * 2 * 6);
+  for (int b = 0; b < 6; ++b) {
+    for (int y = 0; y < 2; ++y) {
+      for (int x = 0; x < 2; ++x) {
+        host[static_cast<std::size_t>((b * 2 + y) * 2 + x)] =
+            static_cast<float>(100 * b + 10 * y + x);
+      }
+    }
+  }
+  stack.upload(host.data(), 1, 2, 4);
   // Band group 0 holds bands 0-3.
   const float4 t0 = dev.texture(stack.group(0)).load(1, 0);
   EXPECT_EQ(t0, float4(1, 101, 201, 301));
@@ -68,8 +78,42 @@ TEST(BandStack, MoveTransfersOwnership) {
 TEST(BandStack, UploadCountsBusTransfersPerGroup) {
   Device dev(test_profile());
   BandStack stack(dev, 4, 4, 12);
-  stack.upload([](int, int, int) { return 1.0f; });
+  const std::vector<float> ones(4 * 4 * 12, 1.0f);
+  stack.upload(ones.data(), 12, 4 * 12, 1);
   EXPECT_EQ(dev.totals().transfer.uploads, 3u);
+}
+
+TEST(BandStack, UploadIsIdenticalForEveryInterleave) {
+  // One 5x4x6 scene in all three interleaves; each uploads the 3x2 window
+  // at (1, 1), as a chunk with a halo would, into its own stack.
+  hsi::HyperCube bip(5, 4, 6, hsi::Interleave::BIP);
+  for (int y = 0; y < 4; ++y) {
+    for (int x = 0; x < 5; ++x) {
+      for (int b = 0; b < 6; ++b) {
+        bip.at(x, y, b) = static_cast<float>(100 * b + 10 * y + x);
+      }
+    }
+  }
+  std::vector<std::vector<float4>> groups[3];
+  int slot = 0;
+  for (const hsi::Interleave il :
+       {hsi::Interleave::BSQ, hsi::Interleave::BIL, hsi::Interleave::BIP}) {
+    SCOPED_TRACE(hsi::interleave_name(il));
+    const hsi::HyperCube cube = bip.converted(il);
+    Device dev(test_profile());
+    BandStack stack(dev, 3, 2, 6);
+    const hsi::HyperCube::Strides s = cube.strides();
+    stack.upload(cube.raw().data() + cube.index(1, 1, 0), s.x, s.y, s.band);
+    for (int g = 0; g < stack.groups(); ++g) {
+      groups[slot].push_back(dev.download(stack.group(g)));
+    }
+    // Texel (2, 1) of the window is pixel (3, 2); bands 4-5 pad with zero.
+    EXPECT_EQ(groups[slot][0][5], float4(23, 123, 223, 323));
+    EXPECT_EQ(groups[slot][1][5], float4(423, 523, 0, 0));
+    ++slot;
+  }
+  EXPECT_EQ(groups[0], groups[2]);
+  EXPECT_EQ(groups[1], groups[2]);
 }
 
 TEST(PingPong, SwapAlternatesRoles) {
