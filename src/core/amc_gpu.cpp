@@ -376,12 +376,7 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
              {norm.group(g), logs->group(g), offsets, mei.front()}, {},
              mei.back());
       } else {
-        // Without a log stack the MEI kernel needs logs inline; reuse the
-        // single-neighbor inline-log cumulative kernel applied twice is not
-        // equivalent, so the log stack is required for this stage. Compute
-        // it on demand into the norm stack's scratch: simplest correct
-        // choice is to require precompute for stage 5 -- materialize a
-        // transient log texture per group here.
+        // MEI reads logs from a texture, so materialize this group's logs.
         const TextureHandle lg = device.create_texture(cw, ch, stack_fmt);
         draw(kStageSid, prog_log, {norm.group(g)}, {}, lg);
         draw(kStageSid, prog_mei, {norm.group(g), lg, offsets, mei.front()},

@@ -345,10 +345,12 @@ SharedProgramStore::Stats SharedProgramStore::stats() const {
 
 // ---- replay memo -----------------------------------------------------------
 
-const PassCacheTotals* ReplayMemo::find(int width, int height,
-                                        const Alias& alias) const {
+const PassCacheTotals* ReplayMemo::find(
+    int width, int height, const Alias& alias,
+    std::span<const std::uint64_t> coord_generations) const {
   for (const Record& r : records_) {
-    if (r.width == width && r.height == height && r.alias == alias) {
+    if (r.width == width && r.height == height && r.alias == alias &&
+        std::ranges::equal(r.coord_generations, coord_generations)) {
       return &r.totals;
     }
   }
@@ -356,9 +358,12 @@ const PassCacheTotals* ReplayMemo::find(int width, int height,
 }
 
 void ReplayMemo::record(int width, int height, const Alias& alias,
+                        std::span<const std::uint64_t> coord_generations,
                         const PassCacheTotals& totals) {
   if (records_.size() >= kMaxRecords) records_.erase(records_.begin());
-  records_.push_back(Record{width, height, alias, totals});
+  records_.push_back(Record{
+      width, height, alias,
+      {coord_generations.begin(), coord_generations.end()}, totals});
 }
 
 // ---- program cache ---------------------------------------------------------

@@ -166,12 +166,13 @@ struct PassCacheTotals {
   std::uint64_t unique_tile_bytes = 0;  ///< compulsory DRAM texture traffic
 };
 
-/// Cache totals recorded for one lowered program's data-independent
-/// fullscreen passes (SoaProgram::data_independent_fetches), keyed by
-/// what else the totals depend on: the viewport and which bound units
-/// share a texture. Device::draw() records on the first such pass and
-/// reuses the totals on every later one instead of replaying. Per
-/// device, and bounded: the oldest record goes once kMaxRecords are held.
+/// Cache totals recorded for one lowered program's fullscreen passes,
+/// keyed by what else the totals depend on: the viewport, which bound
+/// units share a texture, and the write generation (see Device) of each
+/// texture bound to a unit in SoaProgram::coord_units, whose texels place
+/// the dynamic fetches. Device::draw() records on the first such pass and
+/// reuses the totals on every later one instead of replaying. Per device,
+/// and bounded: the oldest record goes once kMaxRecords are held.
 class ReplayMemo {
  public:
   /// Per texture unit, the first unit bound to the same texture; a unit
@@ -179,8 +180,13 @@ class ReplayMemo {
   /// texture ids keep their pattern.
   using Alias = std::array<std::uint8_t, kMaxTexUnits>;
 
-  const PassCacheTotals* find(int width, int height, const Alias& alias) const;
+  /// `coord_generations` holds one generation per coordinate unit, in
+  /// unit order.
+  const PassCacheTotals* find(
+      int width, int height, const Alias& alias,
+      std::span<const std::uint64_t> coord_generations) const;
   void record(int width, int height, const Alias& alias,
+              std::span<const std::uint64_t> coord_generations,
               const PassCacheTotals& totals);
 
  private:
@@ -190,6 +196,7 @@ class ReplayMemo {
     int width = 0;
     int height = 0;
     Alias alias{};
+    std::vector<std::uint64_t> coord_generations;
     PassCacheTotals totals;
   };
   std::vector<Record> records_;

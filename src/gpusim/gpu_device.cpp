@@ -1,6 +1,7 @@
 #include "gpusim/gpu_device.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "trace/trace.hpp"
@@ -56,6 +57,26 @@ void annotate_pass_span(trace::Span& span, const PassStats& stats,
   span.arg("dram_tile_bytes", static_cast<double>(stats.unique_tile_bytes));
   span.arg("bytes_written", static_cast<double>(stats.bytes_written));
   span.arg("modeled_us", stats.modeled_seconds * 1e6);
+}
+
+/// Attaches which SoA path ran the pass: fetch slots by class
+/// (`fetch_static`, `fetch_dynamic`, `fetch_uniform`; every slot is
+/// dynamic when the static plans do not apply) and the instructions that
+/// ran fused (`fused`, 0 when the bound textures fail the fusion check).
+/// Interpreter passes carry none of these.
+void annotate_engine_path(trace::Span& span, const SoaProgram* soa,
+                          std::span<const Texture2D* const> textures,
+                          bool plans_exact) {
+  if (!span.active() || soa == nullptr) return;
+  using Mode = SoaFetchPlan::Mode;
+  double fetches[3] = {0, 0, 0};  // indexed by Mode
+  for (const SoaFetchPlan& plan : soa->fetch) {
+    ++fetches[static_cast<std::size_t>(plans_exact ? plan.mode : Mode::Dynamic)];
+  }
+  span.arg("fetch_static", fetches[static_cast<std::size_t>(Mode::Static)]);
+  span.arg("fetch_dynamic", fetches[static_cast<std::size_t>(Mode::Dynamic)]);
+  span.arg("fetch_uniform", fetches[static_cast<std::size_t>(Mode::Uniform)]);
+  span.arg("fused", static_cast<double>(soa_active_fusions(*soa, textures)));
 }
 
 /// The ReplayMemo::Alias of a binding. Ids compare as the cache's tags
@@ -129,11 +150,11 @@ TextureHandle Device::create_texture(int width, int height, TextureFormat format
   // Reuse a free slot if any; otherwise append.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (!slots_[i].texture) {
-      slots_[i].texture = std::move(tex);
+      slots_[i] = Slot{std::move(tex), ++generations_};
       return static_cast<TextureHandle>(i + 1);
     }
   }
-  slots_.push_back(Slot{std::move(tex)});
+  slots_.push_back(Slot{std::move(tex), ++generations_});
   return static_cast<TextureHandle>(slots_.size());
 }
 
@@ -150,7 +171,11 @@ Texture2D& Device::slot(TextureHandle handle) const {
   return *ptr;
 }
 
-Texture2D& Device::texture(TextureHandle handle) { return slot(handle); }
+Texture2D& Device::texture(TextureHandle handle) {
+  Texture2D& tex = slot(handle);
+  slots_[handle - 1].generation = ++generations_;
+  return tex;
+}
 const Texture2D& Device::texture(TextureHandle handle) const { return slot(handle); }
 
 std::uint64_t Device::video_memory_free() const {
@@ -161,7 +186,7 @@ std::uint64_t Device::video_memory_free() const {
 
 void Device::upload(TextureHandle handle, std::span<const float4> texels) {
   trace::Span span("upload", "xfer");
-  Texture2D& tex = slot(handle);
+  Texture2D& tex = texture(handle);
   HS_ASSERT(channels_of(tex.format()) == 4);
   HS_ASSERT(texels.size() == static_cast<std::size_t>(tex.width()) *
                                  static_cast<std::size_t>(tex.height()));
@@ -190,7 +215,7 @@ void Device::upload(TextureHandle handle, std::span<const float4> texels) {
 
 void Device::upload(TextureHandle handle, std::span<const float> scalars) {
   trace::Span span("upload", "xfer");
-  Texture2D& tex = slot(handle);
+  Texture2D& tex = texture(handle);
   HS_ASSERT(channels_of(tex.format()) == 1);
   HS_ASSERT(scalars.size() == static_cast<std::size_t>(tex.width()) *
                                   static_cast<std::size_t>(tex.height()));
@@ -271,7 +296,7 @@ Device::BoundPass Device::bind_pass(const FragmentProgram& program,
   bound.height = target0.height();
   bound.targets.reserve(outputs.size());
   for (TextureHandle out : outputs) {
-    Texture2D& t = slot(out);
+    Texture2D& t = texture(out);
     HS_ASSERT_MSG(t.width() == bound.width && t.height() == bound.height,
                   "all render targets must share dimensions");
     bound.targets.push_back(&t);
@@ -448,21 +473,30 @@ PassStats Device::draw(const FragmentProgram& program,
     soa = program_cache_.get(program, constants, bound.inputs, &memo);
   }
 
-  // Replay memo. Every pass starts from flushed caches, so when no fetch
-  // coordinate depends on texel values, the pass's cache totals depend
-  // only on the lowered program (code, constants, texture shapes), the
-  // viewport and which units share a texture; the per-device cache
-  // geometry and pipe partition are fixed. Replay the first such draw and
-  // reuse its totals on later ones, which run with no cache bound.
-  const bool memoizable = soa != nullptr && config_.texture_cache &&
-                          soa->data_independent_fetches &&
-                          soa_static_plans_exact(*soa, width, height) &&
+  // Replay memo. Every pass starts from flushed caches, so a pass's cache
+  // totals depend only on the lowered program (code, constants, texture
+  // shapes), the viewport, which units share a texture and the texels
+  // that reach a dynamic fetch's coordinate, which the generations of the
+  // coord_units textures stand for; the per-device cache geometry and
+  // pipe partition are fixed. Replay the first draw of a key and reuse
+  // its totals on later ones, which run with no cache bound.
+  const bool plans_exact =
+      soa != nullptr && soa_static_plans_exact(*soa, width, height);
+  const bool memoizable = plans_exact && config_.texture_cache &&
                           pipe_caches_.front().set_index_ignores_texture_id();
   ReplayMemo::Alias alias{};
+  std::array<std::uint64_t, kMaxTexUnits> coord_gens{};
+  std::size_t n_coord = 0;
   const PassCacheTotals* memoized = nullptr;
   if (memoizable) {
     alias = unit_alias(bound.input_ids);
-    memoized = memo->find(width, height, alias);
+    for (std::size_t u = 0; u < inputs.size() && u < alias.size(); ++u) {
+      if (soa->coord_units & (1u << u)) {
+        coord_gens[n_coord++] = slots_[inputs[u] - 1].generation;
+      }
+    }
+    memoized = memo->find(width, height, alias,
+                          std::span(coord_gens.data(), n_coord));
     if (memoized != nullptr) {
       ++replay_memo_hits_;
       trace_memo_hits_->increment();
@@ -523,7 +557,10 @@ PassStats Device::draw(const FragmentProgram& program,
     cache_totals = *memoized;
   } else {
     cache_totals = collect_cache_totals(bound, pipe_tiles);
-    if (memoizable) memo->record(width, height, alias, cache_totals);
+    if (memoizable) {
+      memo->record(width, height, alias, std::span(coord_gens.data(), n_coord),
+                   cache_totals);
+    }
   }
   const PassStats stats = finalize_pass(
       program, bound,
@@ -532,6 +569,7 @@ PassStats Device::draw(const FragmentProgram& program,
   const char* replay = nullptr;
   if (config_.texture_cache) replay = memoized != nullptr ? "memo" : "full";
   annotate_pass_span(span, stats, replay, runners);
+  annotate_engine_path(span, soa.get(), bound.inputs, plans_exact);
   return stats;
 }
 
@@ -618,6 +656,7 @@ PassStats Device::draw_fragments(const FragmentProgram& program,
       program, bound, n, pipe_counters, collect_cache_totals(bound, pipe_tiles));
   annotate_pass_span(span, stats, config_.texture_cache ? "full" : nullptr,
                      runners);
+  annotate_engine_path(span, soa.get(), bound.inputs, false);
   return stats;
 }
 

@@ -180,6 +180,9 @@ class Device {
                                AddressMode address = AddressMode::ClampToEdge);
   void destroy_texture(TextureHandle handle);
 
+  /// The mutable overload counts as a write: it renews the texture's
+  /// generation (see draw()), so hold the reference only as long as the
+  /// writes it makes. Read through the const overload.
   Texture2D& texture(TextureHandle handle);
   const Texture2D& texture(TextureHandle handle) const;
 
@@ -200,6 +203,13 @@ class Device {
   /// output(s), runs the fragment program with texcoord[0] = texel center,
   /// textures bound to `inputs` (unit i = inputs[i]), constants c[i] =
   /// constants[i], writing result.color[k] to outputs[k].
+  ///
+  /// Every texture carries a write generation, drawn from one device-wide
+  /// counter and renewed on create, upload, use as a render target and
+  /// each call to the mutable texture(). A pass whose dynamic fetch
+  /// coordinates come from texels keys its replay memo on the generations
+  /// of those textures, so it replays the cache model again only after
+  /// one of them was written.
   PassStats draw(const FragmentProgram& program,
                  std::span<const TextureHandle> inputs,
                  std::span<const float4> constants,
@@ -243,6 +253,7 @@ class Device {
  private:
   struct Slot {
     std::unique_ptr<Texture2D> texture;
+    std::uint64_t generation = 0;  ///< renewed on every write
   };
 
   /// Validated bindings shared by the two draw paths.
@@ -281,6 +292,7 @@ class Device {
   DeviceProfile profile_;
   SimConfig config_;
   std::vector<Slot> slots_;  // index = handle - 1
+  std::uint64_t generations_ = 0;  // last generation handed out
   std::uint64_t memory_used_ = 0;
   std::vector<TextureCache> pipe_caches_;  // one per logical pipe
   ProgramCache program_cache_;

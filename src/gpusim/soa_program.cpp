@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <type_traits>
 
 #include "util/assert.hpp"
 
@@ -177,10 +178,6 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
     }
   }
   sp.max_abs_offset = static_cast<std::int32_t>(max_off);
-  sp.data_independent_fetches = std::none_of(
-      sp.fetch.begin(), sp.fetch.end(), [](const SoaFetchPlan& plan) {
-        return plan.mode == SoaFetchPlan::Mode::Dynamic;
-      });
 
   // A reuse slot resolves identically to its owner by construction (same
   // unclobbered coordinate descriptor, same texture geometry), so the
@@ -191,11 +188,42 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
     if (owner >= 0) sp.fetch[t] = sp.fetch[static_cast<std::size_t>(owner)];
   }
 
+  // Coordinate taint: per temp, the texture units whose texels reach it
+  // (a TEX adds its unit to its coordinate's set, ALU takes the union of
+  // its sources, a partial write keeps the old set). A Dynamic fetch's
+  // coordinate set goes into coord_units.
+  {
+    std::array<std::uint16_t, kMaxTemps> taint{};
+    const auto src_taint = [&taint](const CompiledSrc& cs) {
+      return cs.kind == CompiledSrc::Kind::Temp ? taint[cs.index]
+                                                : std::uint16_t{0};
+    };
+    for (const CompiledIns& ci : cp.code) {
+      std::uint16_t set = 0;
+      if (ci.op == Opcode::TEX) {
+        set = src_taint(ci.src[0]);
+        if (sp.fetch[static_cast<std::size_t>(ci.tex_slot)].mode ==
+            SoaFetchPlan::Mode::Dynamic) {
+          sp.coord_units = static_cast<std::uint16_t>(sp.coord_units | set);
+        }
+        set = static_cast<std::uint16_t>(set | (1u << ci.tex_unit));
+      } else {
+        for (int s = 0; s < ci.src_count; ++s) {
+          set = static_cast<std::uint16_t>(
+              set | src_taint(ci.src[static_cast<std::size_t>(s)]));
+        }
+      }
+      if (ci.dst_is_output) continue;
+      std::uint16_t& dst = taint[ci.dst_index];
+      dst = static_cast<std::uint16_t>((ci.write_mask == 0xF ? 0 : dst) | set);
+    }
+  }
+
   // Gather->ALU fusion (see SoaFusedTex). Forward scan tracking which temp
-  // holds which dynamic fetch's full result; a componentwise two-source
-  // op whose both sources are identity reads of held fetches is annotated,
-  // and any other read (or partial overwrite, which leaves live fetched
-  // channels behind) pins the fetch's destination-plane stores.
+  // holds which static or dynamic fetch's full result; a componentwise
+  // two-source op whose both sources are identity reads of held fetches is
+  // annotated, and any other read (or partial overwrite, which leaves live
+  // fetched channels behind) pins the fetch's destination-plane stores.
   sp.fuse_of.assign(cp.code.size(), -1);
   sp.dot_of.assign(cp.code.size(), -1);
   sp.fuse_dead.assign(cp.code.size(), 0);
@@ -261,7 +289,7 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
           clobber_dst(ci);
           const bool full =
               ci.write_mask == 0xF &&
-              sp.fetch[slot].mode == SoaFetchPlan::Mode::Dynamic;
+              sp.fetch[slot].mode != SoaFetchPlan::Mode::Uniform;
           holds[ci.dst_index] = full ? ci.tex_slot : -1;
           if (full) pinned[slot] = 0;
         }
@@ -396,6 +424,9 @@ struct SoaScratch {
   std::vector<std::int32_t> ix;     // n_fetch x kTile resolved x (or kIdxSkip)
   std::vector<std::int32_t> iy;     // n_fetch x kTile resolved y
   std::vector<std::int32_t> is;     // n_fetch x kTile linear texel index
+  /// Per fetch slot: lanes [lo, hi) of its index row step by one texel
+  /// (a static fetch's unclamped interior), empty otherwise.
+  std::vector<std::array<int, 2>> linear;
   std::vector<std::uint64_t> tags;  // n_fetch x kTile replay tags
 
   void init(const SoaProgram& sp) {
@@ -416,6 +447,7 @@ struct SoaScratch {
     ix.resize(cp.tex_unit_of_fetch.size() * kTile);
     iy.resize(cp.tex_unit_of_fetch.size() * kTile);
     is.resize(cp.tex_unit_of_fetch.size() * kTile);
+    linear.assign(cp.tex_unit_of_fetch.size(), {0, 0});
     tags.resize(cp.tex_unit_of_fetch.size() * kTile);
     for (const CompiledIns& ci : cp.code) {
       for (int s = 0; s < ci.src_count; ++s) {
@@ -693,11 +725,12 @@ void fill_rows(float* const d[4], float4 v, int from, int to) {
 /// no border lanes (every linear index valid) and int32-sized textures.
 /// Any mismatch disables fusion for the pass -- annotated instructions
 /// then execute normally against materialized fetch rows.
-bool fusions_active(const SoaProgram& sp, const SoaBindings& b) {
+bool fusions_active(const SoaProgram& sp,
+                    std::span<const Texture2D* const> textures) {
   if (sp.fused.empty()) return false;
   for (const SoaFusedTex& fa : sp.fused) {
     for (int s = 0; s < 2; ++s) {
-      const Texture2D* tex = b.textures[fa.unit[s]];
+      const Texture2D* tex = textures[fa.unit[s]];
       if (channels_of(tex->format()) != 4 ||
           tex->address_mode() == AddressMode::ClampToBorder ||
           static_cast<std::int64_t>(tex->width()) * tex->height() >
@@ -775,18 +808,29 @@ void exec_fused_tex(const CompiledIns& ci, const SoaFusedTex& fa, TileCtx& t) {
 /// Executes a fused dot-of-fusions: per lane, the four texel streams are
 /// combined channel-by-channel exactly as exec_scalar_or_dot() would
 /// combine the materialized rows -- `p0 + p1 + p2 (+ p3)` left to right,
-/// each product of two side values -- so the result is bit-equal. Only
-/// reachable when fusions_active() passed for this pass.
+/// each product of two side values -- so the result is bit-equal. Lanes
+/// where all four index rows step by one texel (static fetches' interior)
+/// read the texel rows directly, a loop the compiler vectorizes; the rest
+/// gather through the index rows. Only reachable when fusions_active()
+/// passed for this pass.
 void exec_fused_dot(const CompiledIns& ci, const SoaFusedDot& fd, TileCtx& t) {
   SoaScratch& sc = *t.sc;
-  const float* HS_RESTRICT ta0 = t.b->textures[fd.side[0].unit[0]]->raw().data();
-  const float* HS_RESTRICT ta1 = t.b->textures[fd.side[0].unit[1]]->raw().data();
-  const float* HS_RESTRICT tb0 = t.b->textures[fd.side[1].unit[0]]->raw().data();
-  const float* HS_RESTRICT tb1 = t.b->textures[fd.side[1].unit[1]]->raw().data();
-  const std::int32_t* HS_RESTRICT ia0 = sc.is_row(fd.side[0].row[0]);
-  const std::int32_t* HS_RESTRICT ia1 = sc.is_row(fd.side[0].row[1]);
-  const std::int32_t* HS_RESTRICT ib0 = sc.is_row(fd.side[1].row[0]);
-  const std::int32_t* HS_RESTRICT ib1 = sc.is_row(fd.side[1].row[1]);
+  const float* tex[4] = {t.b->textures[fd.side[0].unit[0]]->raw().data(),
+                         t.b->textures[fd.side[0].unit[1]]->raw().data(),
+                         t.b->textures[fd.side[1].unit[0]]->raw().data(),
+                         t.b->textures[fd.side[1].unit[1]]->raw().data()};
+  const std::int16_t rows[4] = {fd.side[0].row[0], fd.side[0].row[1],
+                                fd.side[1].row[0], fd.side[1].row[1]};
+  const std::int32_t* idx[4];
+  int lo = 0;
+  int hi = t.lanes;
+  for (int k = 0; k < 4; ++k) {
+    idx[k] = sc.is_row(rows[k]);
+    const auto& lin = sc.linear[static_cast<std::size_t>(rows[k])];
+    lo = std::max(lo, lin[0]);
+    hi = std::min(hi, lin[1]);
+  }
+  if (hi <= lo) lo = hi = t.lanes;  // no common run: gather every lane
   // The loop reads nothing through register planes, so the result can go
   // straight into the first written channel's row (no staging pass); any
   // further written channels are copies of it.
@@ -795,47 +839,71 @@ void exec_fused_dot(const CompiledIns& ci, const SoaFusedDot& fd, TileCtx& t) {
   HS_DEBUG_ASSERT(c0 < 4);
   float* HS_RESTRICT r = dst_row(ci, c0, sc);
   const int lanes = t.lanes;
-  const bool four = fd.n == 4;
-  const auto texel = [](const float* base, const std::int32_t* idx, int l) {
-    return base +
-           static_cast<std::size_t>(static_cast<std::uint32_t>(idx[l])) * 4;
+  const auto texel = [&](int k, int l) {
+    return tex[k] +
+           static_cast<std::size_t>(static_cast<std::uint32_t>(idx[k][l])) * 4;
   };
-  const auto run = [&](auto opa, auto opb) {
-    for (int l = 0; l < lanes; ++l) {
-      const float* a0 = texel(ta0, ia0, l);
-      const float* a1 = texel(ta1, ia1, l);
-      const float* b0 = texel(tb0, ib0, l);
-      const float* b1 = texel(tb1, ib1, l);
+  const auto run = [&](auto opa, auto opb, auto four) {
+    const auto dot = [&](const float* a0, const float* a1, const float* b0,
+                         const float* b1) {
       float acc = opa(a0[0], a1[0]) * opb(b0[0], b1[0]) +
                   opa(a0[1], a1[1]) * opb(b0[1], b1[1]) +
                   opa(a0[2], a1[2]) * opb(b0[2], b1[2]);
-      if (four) acc = acc + opa(a0[3], a1[3]) * opb(b0[3], b1[3]);
-      r[l] = acc;
+      if constexpr (decltype(four)::value) {
+        acc = acc + opa(a0[3], a1[3]) * opb(b0[3], b1[3]);
+      }
+      return acc;
+    };
+    const auto gather = [&](int from, int to) {
+      for (int l = from; l < to; ++l) {
+        r[l] = dot(texel(0, l), texel(1, l), texel(2, l), texel(3, l));
+      }
+    };
+    gather(0, lo);
+    if (hi > lo) {
+      const float* HS_RESTRICT a0 = texel(0, lo);
+      const float* HS_RESTRICT a1 = texel(1, lo);
+      const float* HS_RESTRICT b0 = texel(2, lo);
+      const float* HS_RESTRICT b1 = texel(3, lo);
+      float* HS_RESTRICT rl = r + lo;
+      const int n = hi - lo;
+      HS_SOA_SIMD
+      for (int l = 0; l < n; ++l) {
+        rl[l] = dot(a0 + l * 4, a1 + l * 4, b0 + l * 4, b1 + l * 4);
+      }
     }
+    gather(hi, lanes);
   };
-  const auto with_opa = [&](auto opa) {
+  const auto with_opb = [&](auto opa, auto four) {
     switch (fd.side_op[1]) {
       case Opcode::ADD:
-        run(opa, [](float a, float b) { return a + b; });
+        run(opa, [](float a, float b) { return a + b; }, four);
         break;
       case Opcode::SUB:
-        run(opa, [](float a, float b) { return a - b; });
+        run(opa, [](float a, float b) { return a - b; }, four);
         break;
       default:
-        run(opa, [](float a, float b) { return a * b; });
+        run(opa, [](float a, float b) { return a * b; }, four);
         break;
     }
   };
-  switch (fd.side_op[0]) {
-    case Opcode::ADD:
-      with_opa([](float a, float b) { return a + b; });
-      break;
-    case Opcode::SUB:
-      with_opa([](float a, float b) { return a - b; });
-      break;
-    default:
-      with_opa([](float a, float b) { return a * b; });
-      break;
+  const auto with_opa = [&](auto four) {
+    switch (fd.side_op[0]) {
+      case Opcode::ADD:
+        with_opb([](float a, float b) { return a + b; }, four);
+        break;
+      case Opcode::SUB:
+        with_opb([](float a, float b) { return a - b; }, four);
+        break;
+      default:
+        with_opb([](float a, float b) { return a * b; }, four);
+        break;
+    }
+  };
+  if (fd.n == 4) {
+    with_opa(std::true_type{});
+  } else {
+    with_opa(std::false_type{});
   }
   for (int c = c0 + 1; c < 4; ++c) {
     if (ci.write_mask & (1u << c)) {
@@ -846,15 +914,23 @@ void exec_fused_dot(const CompiledIns& ci, const SoaFusedDot& fd, TileCtx& t) {
 
 /// Static fetch: coordinates are (x0 + lane + dx, y + dy) by the
 /// exactness argument, so the tile is a contiguous texel-row segment with
-/// scalar clamp fixups at the edges and arithmetic replay tags.
+/// scalar clamp fixups at the edges and arithmetic replay tags. While
+/// fusions are active a resolve owner also fills its linear-index row for
+/// the fused loops, and `skip_store` elides the destination-plane writes
+/// of a fetch consumed only by them (tags and tracker marks still run).
 void soa_tex_static(const CompiledIns& ci, const SoaFetchPlan& plan,
-                    TileCtx& t) {
+                    TileCtx& t, bool skip_store) {
   const Texture2D* tex = t.b->textures[ci.tex_unit];
   SoaScratch& sc = *t.sc;
   float* d[4] = {nullptr, nullptr, nullptr, nullptr};
-  for (int c = 0; c < 4; ++c) {
-    if (ci.write_mask & (1u << c)) d[c] = dst_row(ci, c, sc);
+  if (!skip_store) {
+    for (int c = 0; c < 4; ++c) {
+      if (ci.write_mask & (1u << c)) d[c] = dst_row(ci, c, sc);
+    }
   }
+  std::int32_t* HS_RESTRICT idx =
+      t.fuse_active && ci.resolve_reuse < 0 ? sc.is_row(ci.tex_slot) : nullptr;
+  if (idx != nullptr) sc.linear[static_cast<std::size_t>(ci.tex_slot)] = {0, 0};
   const SlotInfo& info = t.info[ci.tex_slot];
   SlotRT& rt = t.rt[ci.tex_slot];
   const int w = tex->width();
@@ -897,11 +973,18 @@ void soa_tex_static(const CompiledIns& ci, const SoaFetchPlan& plan,
         const int m = xi % w;
         xi = m < 0 ? m + w : m;
       }
-      const float4 v = tex->load(xi, yi);
-      if (d[0]) d[0][l] = v.x;
-      if (d[1]) d[1][l] = v.y;
-      if (d[2]) d[2][l] = v.z;
-      if (d[3]) d[3][l] = v.w;
+      if (idx != nullptr) {
+        idx[l] = static_cast<std::int32_t>(static_cast<std::uint32_t>(yi) *
+                                               static_cast<std::uint32_t>(w) +
+                                           static_cast<std::uint32_t>(xi));
+      }
+      if (!skip_store) {
+        const float4 v = tex->load(xi, yi);
+        if (d[0]) d[0][l] = v.x;
+        if (d[1]) d[1][l] = v.y;
+        if (d[2]) d[2][l] = v.z;
+        if (d[3]) d[3][l] = v.w;
+      }
       if (t.want_tags) {
         tags[l] = info.tag_hi |
                   (static_cast<std::uint64_t>(
@@ -947,6 +1030,17 @@ void soa_tex_static(const CompiledIns& ci, const SoaFetchPlan& plan,
   }
   if (lA > 0) fill_rows(d, tex->load(0, yi), 0, lA);
   if (lB < t.lanes) fill_rows(d, tex->load(w - 1, yi), lB, t.lanes);
+  if (idx != nullptr) {
+    sc.linear[static_cast<std::size_t>(ci.tex_slot)] = {lA, lB};
+    const std::uint32_t row = static_cast<std::uint32_t>(yi) *
+                              static_cast<std::uint32_t>(w);
+    const int lanes = t.lanes;
+    HS_SOA_SIMD
+    for (int l = 0; l < lanes; ++l) {
+      const std::int32_t xi = std::clamp(xr0 + l, 0, w - 1);
+      idx[l] = static_cast<std::int32_t>(row + static_cast<std::uint32_t>(xi));
+    }
+  }
   if (t.want_tags) {
     rt.kind = SlotRT::kArith;
     rt.dx = plan.dx;
@@ -1027,6 +1121,7 @@ void soa_tex_dynamic(const CompiledIns& ci, TileCtx& t, bool skip_store) {
     xs = sc.ix_row(ci.tex_slot);
     ys = sc.iy_row(ci.tex_slot);
     is = sc.is_row(ci.tex_slot);
+    sc.linear[static_cast<std::size_t>(ci.tex_slot)] = {0, 0};
     const CompiledSrc& cs = ci.src[0];
     const float* sx = src_row(cs, 0, sc, t.lanes, 0);
     const float* sy = src_row(cs, 1, sc, t.lanes, 0);
@@ -1194,23 +1289,17 @@ void soa_tex_dynamic(const CompiledIns& ci, TileCtx& t, bool skip_store) {
 
 void soa_tex(const CompiledIns& ci, const SoaProgram& sp, TileCtx& t,
              bool fullscreen) {
-  t.rt[ci.tex_slot].kind = SlotRT::kNone;
-  if (fullscreen) {
-    const SoaFetchPlan& plan =
-        sp.fetch[static_cast<std::size_t>(ci.tex_slot)];
-    if (plan.mode == SoaFetchPlan::Mode::Static) {
-      soa_tex_static(ci, plan, t);
-      return;
-    }
-    if (plan.mode == SoaFetchPlan::Mode::Uniform) {
-      soa_tex_uniform(ci, plan, t);
-      return;
-    }
+  const auto slot = static_cast<std::size_t>(ci.tex_slot);
+  t.rt[slot].kind = SlotRT::kNone;
+  const SoaFetchPlan& plan = sp.fetch[slot];
+  const bool skip_store = t.fuse_active && sp.fetch_store_skip[slot] != 0;
+  if (fullscreen && plan.mode == SoaFetchPlan::Mode::Static) {
+    soa_tex_static(ci, plan, t, skip_store);
+  } else if (fullscreen && plan.mode == SoaFetchPlan::Mode::Uniform) {
+    soa_tex_uniform(ci, plan, t);
+  } else {
+    soa_tex_dynamic(ci, t, skip_store);
   }
-  soa_tex_dynamic(
-      ci, t,
-      t.fuse_active &&
-          sp.fetch_store_skip[static_cast<std::size_t>(ci.tex_slot)] != 0);
 }
 
 /// Per-pass-slice replay state: the register-resident cache session plus
@@ -1349,7 +1438,7 @@ struct SliceRun {
     t.rt = rts.data();
     t.want_tags = b.cache != nullptr;
     t.ts = t.want_tags ? b.cache->tile_shift() : 0;
-    t.fuse_active = fusions_active(sp, b);
+    t.fuse_active = fusions_active(sp, b.textures);
     if (t.want_tags) replay.emplace(*b.cache, infos.size());
   }
   SliceRun(const SliceRun&) = delete;
@@ -1388,6 +1477,12 @@ struct SliceRun {
 };
 
 }  // namespace
+
+std::size_t soa_active_fusions(const SoaProgram& sp,
+                               std::span<const Texture2D* const> textures) {
+  return fusions_active(sp, textures) ? sp.fused.size() + sp.fused_dot.size()
+                                      : 0;
+}
 
 bool soa_static_plans_exact(const SoaProgram& sp, int width, int rows) {
   // The static plans rely on `(x + 0.5) + dx` being exact in float.

@@ -37,21 +37,26 @@
 // TextureCache::ReplaySession::replay_matrix(), whose register-resident
 // probe loop only loads finished tags.
 //
-// A fullscreen pass whose fetch slots are all static or uniform, inside
-// the exactness bound (soa_static_plans_exact), fetches the same texel
-// coordinates whatever the texel values are, so its cache statistics and
-// tile-touch marks are a function of the program, the viewport and which
-// units share a texture. Device::draw() replays such a pass once, records
-// its totals and runs later redraws with no cache or tracker bound (see
+// A fullscreen pass inside the exactness bound (soa_static_plans_exact)
+// fetches texel coordinates that depend only on the program, the
+// viewport and the texels of the units that feed a dynamic fetch's
+// coordinate (SoaProgram::coord_units, none for an all-static/uniform
+// program). So its cache statistics and tile-touch marks are a function
+// of those, plus which units share a texture. Device::draw() replays such
+// a pass once, records its totals keyed on the coordinate textures' write
+// generations, and runs later redraws with no cache or tracker bound (see
 // ReplayMemo in compiled_program.hpp). The executor itself replays
 // whenever its bindings carry a cache.
 //
 // A small gather->ALU fusion pass further removes plane traffic: a
 // componentwise ADD/SUB/MUL whose two sources are identity reads of
-// still-intact full dynamic-fetch results computes its destination rows
-// straight from the two texel streams, and fetches consumed only this way
-// skip materializing their destination planes entirely (their resolve,
-// replay tags and tile-touch marks are unaffected).
+// still-intact full static or dynamic fetch results computes its
+// destination rows straight from the two texel streams, and fetches
+// consumed only this way skip materializing their destination planes
+// entirely (their resolve, replay tags and tile-touch marks are
+// unaffected). A static fetch feeds a fusion through a linear-index row
+// it fills arithmetically, so a neighbour stencil's texels are read in
+// place instead of being copied into planes once per neighbour.
 //
 // Exactness guarantee: for any validated program the outputs,
 // ExecCounters, texture-cache statistics, tile-touch bitmaps and
@@ -89,8 +94,8 @@ struct SoaFetchPlan {
 };
 
 /// Gather->ALU fusion record: a componentwise two-source instruction whose
-/// sources are identity (no swizzle, no negate) reads of two dynamic
-/// fetches' full, still-unclobbered results. The executor computes the
+/// sources are identity (no swizzle, no negate) reads of two static or
+/// dynamic fetches' full, still-unclobbered results. The executor computes the
 /// destination rows directly from the two texel streams via the fetches'
 /// resolved linear-index rows -- identical float operations on identical
 /// values, so results are bit-equal to materialize-then-operate.
@@ -141,10 +146,12 @@ struct SoaProgram {
   /// Largest |dx| / |dy| (and intermediate folded offset) over static
   /// plans; bounds the float-exactness check in run_soa_rows().
   std::int32_t max_abs_offset = 0;
-  /// No fetch slot is Dynamic: in a fullscreen pass within
+  /// Bitmask over texture units whose texels reach the coordinate of a
+  /// Dynamic fetch slot. In a fullscreen pass within
   /// soa_static_plans_exact(), every fetch coordinate -- and so every
-  /// cache tag and tile mark -- is independent of texel values.
-  bool data_independent_fetches = false;
+  /// cache tag and tile mark -- depends on texel values only through
+  /// these units (0: not at all).
+  std::uint16_t coord_units = 0;
   /// 1 + the highest temp register the code touches: the executor's
   /// scratch holds only these registers.
   int temp_regs = 0;
@@ -181,6 +188,12 @@ struct SoaBindings {
 /// plans. run_soa_rows() uses the static/uniform plans exactly then and
 /// otherwise runs the slice all-dynamic.
 bool soa_static_plans_exact(const SoaProgram& program, int width, int rows);
+
+/// Fused instructions that run fused in a pass over `textures`: 0 when
+/// the per-pass check (four channels, no border addressing, texel count
+/// within int32) fails for any texture a fusion reads.
+std::size_t soa_active_fusions(const SoaProgram& program,
+                               std::span<const Texture2D* const> textures);
 
 /// Executes rows [y_begin, y_end) of a full-viewport pass (texcoord[0] =
 /// texel center) and accumulates the analytic counters.

@@ -41,7 +41,7 @@
 namespace hs::trace {
 
 /// Inline argument storage per span. arg() calls beyond this are dropped.
-inline constexpr int kMaxSpanArgs = 16;
+inline constexpr int kMaxSpanArgs = 20;
 
 struct TraceArg {
   const char* key = "";  ///< must be a string literal (stored by pointer)

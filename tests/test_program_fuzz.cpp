@@ -6,7 +6,8 @@
 //   * differential: the SoA engine reproduces the interpreter bit-for-bit
 //     -- outputs, counters, cache statistics, modeled time -- on
 //     fullscreen and geometry passes alike, including viewports past the
-//     SoA static plans' float-exactness bound.
+//     SoA static plans' float-exactness bound, redraws served from the
+//     replay memo, and static fetches feeding fused loops.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,6 +21,7 @@
 #include <string_view>
 #include <utility>
 
+#include "core/shaders.hpp"
 #include "gpusim/assembler.hpp"
 #include "gpusim/gpu_device.hpp"
 #include "gpusim/interpreter.hpp"
@@ -143,6 +145,9 @@ FragmentProgram random_program(util::Xoshiro256& rng, int max_ops,
 /// classifies every fetch slot Static or Uniform, so fullscreen passes of
 /// these programs reach the device's replay memo. ALU instructions read
 /// anything and write fresh temps, so they never disturb a coordinate.
+/// Biased toward the cumulative-distance chain `ADD tc, c[d]; TEX; TEX;
+/// SUB; SUB; DP4` against two centre reads, which runs fused when its
+/// units hold four-channel textures.
 FragmentProgram random_static_program(util::Xoshiro256& rng, int max_ops,
                                       int bound_textures) {
   FragmentProgram program;
@@ -193,14 +198,69 @@ FragmentProgram random_static_program(util::Xoshiro256& rng, int max_ops,
     emit(Opcode::TEX, {coord})->tex_unit = unit;
   };
 
+  auto temp = [](int index) {
+    SrcOperand src;
+    src.file = RegFile::Temp;
+    src.index = static_cast<std::uint8_t>(index);
+    return src;
+  };
+  // The chain's two units: mostly unit 0 on both sides, the shape whose
+  // fusions stay active over a four-channel unit 0.
+  std::uint8_t chain_unit[2] = {0, 0};
+  if (rng.uniform() < 0.3) {
+    for (auto& u : chain_unit) {
+      u = static_cast<std::uint8_t>(
+          rng.uniform_int(static_cast<std::uint64_t>(bound_textures)));
+    }
+  }
+  int centre[2] = {-1, -1};
+  int sum = -1;  // running sum of the chain dots, read by the output
+  const Opcode chain_ops[] = {Opcode::SUB, Opcode::SUB, Opcode::ADD,
+                              Opcode::MUL};
+
   const Opcode alu[] = {Opcode::ADD, Opcode::SUB, Opcode::MUL, Opcode::MAX,
                         Opcode::DP3, Opcode::MAD, Opcode::FRC, Opcode::ABS};
   const int n_ops = static_cast<int>(
       1 + rng.uniform_int(static_cast<std::uint64_t>(max_ops)));
   for (int i = 0; i < n_ops && live_temps + 2 <= kMaxTemps; ++i) {
-    const std::uint64_t kind = live_temps == 0 ? rng.uniform_int(3)
-                                               : rng.uniform_int(5);
-    if (kind == 0) {
+    std::uint64_t kind = live_temps == 0 ? rng.uniform_int(3)
+                                         : rng.uniform_int(7);
+    if (kind >= 5 && live_temps + 9 > kMaxTemps) kind = 3;
+    if (kind >= 5) {
+      if (centre[0] < 0) {
+        for (int side = 0; side < 2; ++side) {
+          centre[side] = live_temps;
+          emit(Opcode::TEX, {texcoord0()})->tex_unit = chain_unit[side];
+        }
+      }
+      const int coord = live_temps;
+      const float dx = offset();
+      const float dy = offset();
+      emit(Opcode::ADD, {texcoord0(), literal(dx, dy)});
+      int neighbour[2];
+      for (int side = 0; side < 2; ++side) {
+        neighbour[side] = live_temps;
+        emit(Opcode::TEX, {temp(coord)})->tex_unit = chain_unit[side];
+      }
+      int diff[2];
+      for (int side = 0; side < 2; ++side) {
+        const Opcode op = chain_ops[rng.uniform_int(std::size(chain_ops))];
+        const bool swap = rng.uniform() < 0.25;
+        diff[side] = live_temps;
+        emit(op, {temp(swap ? neighbour[side] : centre[side]),
+                  temp(swap ? centre[side] : neighbour[side])});
+      }
+      const int dot = live_temps;
+      emit(rng.uniform() < 0.75 ? Opcode::DP4 : Opcode::DP3,
+           {temp(diff[0]), temp(diff[1])});
+      if (sum >= 0) {
+        const int next = live_temps;
+        emit(Opcode::ADD, {temp(sum), temp(dot)});
+        sum = next;
+      } else {
+        sum = dot;
+      }
+    } else if (kind == 0) {
       emit_tex(texcoord0());
     } else if (kind == 1) {
       // Locals keep the rng draws in a fixed order (argument evaluation
@@ -210,10 +270,7 @@ FragmentProgram random_static_program(util::Xoshiro256& rng, int max_ops,
       const float dx = offset();
       const float dy = offset();
       emit(op, {texcoord0(), literal(dx, dy)});
-      SrcOperand src;
-      src.file = RegFile::Temp;
-      src.index = static_cast<std::uint8_t>(coord);
-      emit_tex(src);
+      emit_tex(temp(coord));
     } else if (kind == 2) {
       const float x = static_cast<float>(rng.uniform(-3, 12));
       const float y = static_cast<float>(rng.uniform(-3, 12));
@@ -230,12 +287,15 @@ FragmentProgram random_static_program(util::Xoshiro256& rng, int max_ops,
     }
   }
 
+  // The output reads the chains' sum, so dead-write elimination keeps
+  // them.
   Instruction out;
-  out.op = Opcode::MOV;
+  out.op = sum >= 0 ? Opcode::ADD : Opcode::MOV;
   out.dst.file = RegFile::Output;
   out.dst.index = 0;
   out.src[0] = temp_source();
-  out.src_count = 1;
+  if (sum >= 0) out.src[1] = temp(sum);
+  out.src_count = sum >= 0 ? 2 : 1;
   program.code.push_back(out);
   return program;
 }
@@ -376,8 +436,8 @@ void expect_identical_stats(const PassStats& a, const PassStats& b) {
   EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
 }
 
-void expect_identical_texels(Device& da, TextureHandle ha, Device& db,
-                             TextureHandle hb) {
+void expect_identical_texels(const Device& da, TextureHandle ha,
+                             const Device& db, TextureHandle hb) {
   const auto& ra = da.texture(ha).raw();
   const auto& rb = db.texture(hb).raw();
   ASSERT_EQ(ra.size(), rb.size());
@@ -580,7 +640,7 @@ struct MemoRig {
 
   /// Uploads texels in [0, 3] that depend on the handle and `salt`.
   void fill(TextureHandle handle, int salt) {
-    const Texture2D& t = pair.soa.texture(handle);
+    const Texture2D& t = std::as_const(pair.soa).texture(handle);
     std::vector<float4> data(static_cast<std::size_t>(t.width()) * t.height());
     for (std::size_t i = 0; i < data.size(); ++i) {
       const float v = static_cast<float>(
@@ -671,25 +731,72 @@ TEST(ReplayMemo, ViewportChangeMisses) {
   EXPECT_EQ(rig.pair.soa.replay_memo_hits(), 1u);
 }
 
-TEST(ReplayMemo, DependentFetchAndGeometryPassesNeverRecord) {
+/// MEI's shape: the second fetch's coordinate comes from a fetched texel
+/// of unit 1.
+FragmentProgram memo_dependent() {
+  return assemble_or_die("memo_dependent",
+                         "!!HSFP1.0\n"
+                         "TEX R0, fragment.texcoord[0], texture[1];\n"
+                         "ADD R1, R0, fragment.texcoord[0];\n"
+                         "TEX R3, R1, texture[0];\n"
+                         "MOV result.color, R3;\n"
+                         "END\n");
+}
+
+TEST(ReplayMemo, DependentFetchKeysOnCoordinateTextureWrites) {
   MemoRig rig;
   const TextureHandle image = rig.texture(19, 13);
   const TextureHandle offsets = rig.texture(19, 13);
+  const TextureHandle source = rig.texture(19, 13);
   const TextureHandle out = rig.texture(19, 13);
-  // MEI's shape: the second fetch's coordinate comes from a fetched texel.
-  const FragmentProgram dependent = assemble_or_die(
-      "memo_dependent",
-      "!!HSFP1.0\n"
-      "TEX R0, fragment.texcoord[0], texture[1];\n"
-      "ADD R1, R0, fragment.texcoord[0];\n"
-      "TEX R3, R1, texture[0];\n"
-      "MOV result.color, R3;\n"
-      "END\n");
-  const PassStats first = rig.draw(dependent, {image, offsets}, out);
-  rig.fill(offsets, 1);  // new fetch coordinates, new cache statistics
-  EXPECT_NE(rig.draw(dependent, {image, offsets}, out).cache.hits,
-            first.cache.hits);
+  const FragmentProgram dependent = memo_dependent();
+  // Draws the dependent pass (checked against the interpreter) and says
+  // whether the SoA device took its cache totals from the memo.
+  const auto draw_hits = [&](PassStats* stats = nullptr) {
+    const Device& soa = rig.pair.soa;
+    const std::uint64_t hits = soa.replay_memo_hits();
+    const std::uint64_t misses = soa.replay_memo_misses();
+    const PassStats s = rig.draw(dependent, {image, offsets}, out);
+    if (stats != nullptr) *stats = s;
+    EXPECT_EQ(soa.replay_memo_hits() + soa.replay_memo_misses(),
+              hits + misses + 1);
+    return soa.replay_memo_hits() == hits + 1;
+  };
+  PassStats first;
+  EXPECT_FALSE(draw_hits(&first));
+  EXPECT_TRUE(draw_hits());  // offsets unchanged
 
+  rig.fill(image, 1);  // new texels on the non-coordinate unit only
+  EXPECT_TRUE(draw_hits());
+
+  rig.fill(offsets, 1);  // upload: new fetch coordinates
+  PassStats moved;
+  EXPECT_FALSE(draw_hits(&moved));
+  EXPECT_NE(moved.cache.hits, first.cache.hits);
+  EXPECT_TRUE(draw_hits());
+
+  // Drawn as a render target.
+  const FragmentProgram scale = assemble_or_die(
+      "memo_scale",
+      "!!HSFP1.0\n"
+      "TEX R0, fragment.texcoord[0], texture[0];\n"
+      "MUL result.color, R0, {0.5, 2.0, 1.0, 1.0};\n"
+      "END\n");
+  rig.draw(scale, {source}, offsets);
+  EXPECT_FALSE(draw_hits());
+  EXPECT_TRUE(draw_hits());
+
+  // Written through the mutable Device::texture().
+  for (Device* dev : rig.devs) dev->texture(offsets).store(3, 4, {-2, 5, 1, 1});
+  EXPECT_FALSE(draw_hits());
+  EXPECT_TRUE(draw_hits());
+}
+
+TEST(ReplayMemo, GeometryPassesNeverRecord) {
+  MemoRig rig;
+  const TextureHandle a = rig.texture(19, 13);
+  const TextureHandle b = rig.texture(19, 13);
+  const TextureHandle out = rig.texture(19, 13);
   const FragmentProgram p = memo_neighbors();
   std::vector<Device::GeomFragment> frags;
   for (int y = 0; y < 13; y += 2) {
@@ -698,7 +805,7 @@ TEST(ReplayMemo, DependentFetchAndGeometryPassesNeverRecord) {
     }
   }
   const float4 constants[1] = {{1, 0, 0, 0}};
-  const TextureHandle ins[2] = {image, offsets};
+  const TextureHandle ins[2] = {a, b};
   const TextureHandle outs[1] = {out};
   for (int repeat = 0; repeat < 2; ++repeat) {
     PassStats stats[2];
@@ -720,26 +827,260 @@ TEST(ReplayMemo, PassSpansAndCountersShowTheReplayPath) {
     MemoRig rig;
     const TextureHandle a = rig.texture(16, 8);
     const TextureHandle b = rig.texture(16, 8);
+    const TextureHandle offsets = rig.texture(16, 8);
+    const TextureHandle acc = rig.texture(16, 8);
     const TextureHandle out = rig.texture(16, 8);
     const FragmentProgram p = memo_neighbors();
     rig.draw(p, {a, b}, out);
     rig.draw(p, {a, b}, out);
+    // Band-group redraws of MEI against one offsets texture.
+    const FragmentProgram mei =
+        assemble_or_die("mei", core::shaders::mei_source());
+    rig.draw(mei, {a, b, offsets, acc}, out);
+    rig.fill(a, 1);
+    rig.fill(b, 1);
+    rig.draw(mei, {a, b, offsets, acc}, out);
   }
   trace::set_enabled(false);
-  std::map<std::string, int> replay;  // the interpreter always replays
+  // Per program, "replay" values in draw order (interpreter, then SoA, per
+  // draw; the interpreter always replays) and the SoA spans' path args.
+  std::map<std::string, std::vector<std::string>> replay;
+  std::map<std::string, std::map<std::string, double>> path;
   for (const trace::TraceEvent& e : trace::snapshot()) {
     if (e.cat != "pass") continue;
     for (const trace::TraceArg& arg : e.args) {
-      if (std::string_view(arg.key) == "replay") ++replay[arg.str];
+      const std::string_view key(arg.key);
+      if (key == "replay") replay[e.name].push_back(arg.str);
+      if (key.starts_with("fetch_") || key == "fused") {
+        path[e.name][std::string(key)] = arg.num;
+      }
     }
   }
-  EXPECT_EQ(replay["full"], 3);
-  EXPECT_EQ(replay["memo"], 1);
-  EXPECT_EQ(trace::counter("gpusim.replay_memo.miss").value(), 1);
-  EXPECT_EQ(trace::counter("gpusim.replay_memo.hit").value(), 1);
+  const std::vector<std::string> expected = {"full", "full", "full", "memo"};
+  EXPECT_EQ(replay["memo_neighbors"], expected);
+  EXPECT_EQ(replay["mei"], expected);
+  // Three static reads; the ADD of the first two runs fused.
+  const std::map<std::string, double> neighbors_path = {
+      {"fetch_static", 3}, {"fetch_dynamic", 0}, {"fetch_uniform", 0},
+      {"fused", 1}};
+  EXPECT_EQ(path["memo_neighbors"], neighbors_path);
+  // MEI: the offsets and accumulator reads are static, the four stencil
+  // reads dynamic; two fused differences feed one fused dot.
+  const std::map<std::string, double> mei_path = {
+      {"fetch_static", 2}, {"fetch_dynamic", 4}, {"fetch_uniform", 0},
+      {"fused", 3}};
+  EXPECT_EQ(path["mei"], mei_path);
+  EXPECT_EQ(trace::counter("gpusim.replay_memo.miss").value(), 2);
+  EXPECT_EQ(trace::counter("gpusim.replay_memo.hit").value(), 2);
   trace::reset();
 }
 #endif  // HS_TRACE_ENABLED
+
+// ---- static fetches in the fused dot ----------------------------------------
+//
+// The gather->ALU fusion also takes static fetches: the cumulative-distance
+// kernels' centre and neighbour reads feed their SUB, SUB, DP4 chains
+// straight from the texel rows through arithmetically filled index rows.
+// Every case runs on both engines and must match the interpreter bit for
+// bit: texels and every PassStats field, on the recording draw and on a
+// memoized redraw over new texels.
+
+/// Row-major neighbour offsets of a (2r+1) x (2r+1) structuring element.
+std::vector<float4> stencil_offsets(int radius) {
+  std::vector<float4> offsets;
+  for (int dy = -radius; dy <= radius; ++dy) {
+    for (int dx = -radius; dx <= radius; ++dx) {
+      offsets.push_back({static_cast<float>(dx), static_cast<float>(dy), 0, 0});
+    }
+  }
+  return offsets;
+}
+
+/// How the SoA engine lowers a program against one binding.
+struct FusionPlan {
+  std::size_t active = 0;         ///< soa_active_fusions()
+  std::vector<char> store_skip;   ///< SoaProgram::fetch_store_skip
+};
+
+/// Binds units 0 and 1 to `fmt` textures with `mode` addressing (one
+/// texture on both units when `shared`) and unit 2 to an R32F
+/// accumulator, draws `p` on both engines over a w x h viewport into an
+/// `out_fmt` target, uploads new texels and draws again. Returns the SoA
+/// lowering of the binding.
+FusionPlan expect_fusion_matches_interpreter(
+    const FragmentProgram& p, std::span<const float4> constants, int w, int h,
+    TextureFormat fmt, AddressMode mode, TextureFormat out_fmt,
+    bool shared = false) {
+  EnginePair pair(3);
+  Device* devs[2] = {&pair.interp, &pair.soa};
+  util::Xoshiro256 rng(static_cast<std::uint64_t>(w) * 131 + h);
+  const auto n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+  std::vector<float4> texels_a(n);
+  std::vector<float4> texels_b(shared ? 0 : n);
+  std::vector<float> acc(n);
+  const auto refill = [&] {
+    for (auto& v : texels_a) {
+      v = {static_cast<float>(rng.uniform(0.05, 1)),
+           static_cast<float>(rng.uniform(0.05, 1)),
+           static_cast<float>(rng.uniform(-1, 1)),
+           static_cast<float>(rng.uniform(-4, 4))};
+    }
+    for (std::size_t i = 0; i < texels_b.size(); ++i) {
+      const float4 v = texels_a[i];
+      texels_b[i] = {v.y, v.x, v.w * 0.25f, v.z};
+    }
+    for (auto& v : acc) v = static_cast<float>(rng.uniform(-1, 1));
+  };
+  std::vector<TextureHandle> ins[2];
+  TextureHandle out[2];
+  for (int d = 0; d < 2; ++d) {
+    const TextureHandle a = devs[d]->create_texture(w, h, fmt, mode);
+    const TextureHandle b =
+        shared ? a : devs[d]->create_texture(w, h, fmt, mode);
+    ins[d] = {a, b, devs[d]->create_texture(w, h, TextureFormat::R32F)};
+    out[d] = devs[d]->create_texture(w, h, out_fmt);
+    for (TextureHandle t : {a, b}) {
+      devs[d]->texture(t).set_border_color({0.25f, -1.f, 2.f, 0.5f});
+    }
+  }
+  for (int draw = 0; draw < 2; ++draw) {
+    refill();
+    PassStats stats[2];
+    for (int d = 0; d < 2; ++d) {
+      devs[d]->upload(ins[d][0], texels_a);
+      if (!shared) devs[d]->upload(ins[d][1], texels_b);
+      devs[d]->upload(ins[d][2], acc);
+      const TextureHandle outs[1] = {out[d]};
+      stats[d] = devs[d]->draw(p, ins[d], constants, outs);
+    }
+    expect_identical_stats(stats[0], stats[1]);
+    expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
+  }
+
+  std::vector<const Texture2D*> bound;
+  for (TextureHandle t : ins[1]) {
+    bound.push_back(&std::as_const(pair.soa).texture(t));
+  }
+  const SoaProgram sp = lower_soa(std::make_shared<const CompiledProgram>(
+      compile_program(p, constants, bound)));
+  return {soa_active_fusions(sp, bound), sp.fetch_store_skip};
+}
+
+const int kFusionWidths[] = {1, 3, 255, 256, 257, 300};
+
+TEST(SoaStaticFusion, CumdistFusedMatchesInterpreter) {
+  for (int radius : {1, 2}) {
+    const std::vector<float4> offsets = stencil_offsets(radius);
+    const int nb = static_cast<int>(offsets.size());
+    const FragmentProgram p = assemble_or_die(
+        "cumdist_fused", core::shaders::cumulative_distance_fused_source(nb));
+    for (int w : kFusionWidths) {
+      for (AddressMode mode : {AddressMode::ClampToEdge, AddressMode::Repeat}) {
+        for (TextureFormat fmt :
+             {TextureFormat::RGBA32F, TextureFormat::RGBA16F}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "radius " << radius << " width " << w << " mode "
+                       << static_cast<int>(mode) << " format "
+                       << static_cast<int>(fmt));
+          const FusionPlan plan = expect_fusion_matches_interpreter(
+              p, offsets, w, 5, fmt, mode, TextureFormat::R32F);
+          // Per neighbour: two fused differences and their fused dot.
+          EXPECT_EQ(plan.active, static_cast<std::size_t>(3 * nb));
+          // Centre and neighbour reads feed only fusions; the
+          // accumulator read is a plain ALU source.
+          for (std::size_t s = 0; s + 1 < plan.store_skip.size(); ++s) {
+            EXPECT_EQ(plan.store_skip[s], 1) << "slot " << s;
+          }
+          EXPECT_EQ(plan.store_skip.back(), 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(SoaStaticFusion, CumdistSingleMatchesInterpreter) {
+  const FragmentProgram p = assemble_or_die(
+      "cumdist_single", core::shaders::cumulative_distance_single_source());
+  const std::vector<float4> offsets = stencil_offsets(2);
+  for (int w : kFusionWidths) {
+    for (AddressMode mode : {AddressMode::ClampToEdge, AddressMode::Repeat}) {
+      for (TextureFormat fmt :
+           {TextureFormat::RGBA32F, TextureFormat::RGBA16F}) {
+        for (const float4& offset : offsets) {
+          SCOPED_TRACE(::testing::Message()
+                       << "width " << w << " mode " << static_cast<int>(mode)
+                       << " format " << static_cast<int>(fmt) << " offset ("
+                       << offset.x << ", " << offset.y << ")");
+          const FusionPlan plan = expect_fusion_matches_interpreter(
+              p, std::span(&offset, 1), w, 4, fmt, mode, TextureFormat::R32F);
+          EXPECT_EQ(plan.active, 3u);
+        }
+      }
+    }
+  }
+}
+
+TEST(SoaStaticFusion, BorderAddressingRunsUnfused) {
+  const std::vector<float4> offsets = stencil_offsets(2);
+  const FragmentProgram p = assemble_or_die(
+      "cumdist_fused",
+      core::shaders::cumulative_distance_fused_source(
+          static_cast<int>(offsets.size())));
+  for (int w : kFusionWidths) {
+    for (TextureFormat fmt : {TextureFormat::RGBA32F, TextureFormat::RGBA16F}) {
+      SCOPED_TRACE(::testing::Message() << "width " << w << " format "
+                                        << static_cast<int>(fmt));
+      const FusionPlan plan = expect_fusion_matches_interpreter(
+          p, offsets, w, 5, fmt, AddressMode::ClampToBorder,
+          TextureFormat::R32F);
+      EXPECT_EQ(plan.active, 0u);
+    }
+  }
+}
+
+TEST(SoaStaticFusion, CentreReadByPlainAluStaysPinned) {
+  // cumdist_single plus a plain MUL of the centre read R0: its planes must
+  // still be written, while R1's are consumed only by the fused chain.
+  const FragmentProgram p = assemble_or_die(
+      "centre_pinned",
+      "!!HSFP1.0\n"
+      "TEX R0, fragment.texcoord[0], texture[0];\n"
+      "TEX R1, fragment.texcoord[0], texture[1];\n"
+      "ADD R3.xy, fragment.texcoord[0], c[0];\n"
+      "TEX R4, R3, texture[0];\n"
+      "TEX R5, R3, texture[1];\n"
+      "SUB R6, R0, R4;\n"
+      "SUB R7, R1, R5;\n"
+      "DP4 R8.x, R6, R7;\n"
+      "MUL R9, R0, {0.5, 0.25, 2.0, -1.0};\n"
+      "ADD result.color, R9, R8.xxxx;\n"
+      "END\n");
+  const float4 offset{-2, 1, 0, 0};
+  for (int w : kFusionWidths) {
+    for (AddressMode mode : {AddressMode::ClampToEdge, AddressMode::Repeat}) {
+      SCOPED_TRACE(::testing::Message() << "width " << w << " mode "
+                                        << static_cast<int>(mode));
+      const FusionPlan plan = expect_fusion_matches_interpreter(
+          p, std::span(&offset, 1), w, 3, TextureFormat::RGBA32F, mode,
+          TextureFormat::RGBA32F);
+      EXPECT_EQ(plan.active, 3u);
+      EXPECT_EQ(plan.store_skip, (std::vector<char>{0, 1, 1, 1}));
+    }
+  }
+}
+
+TEST(SoaStaticFusion, WideViewportRunsAllDynamic) {
+  // Past the 2^21 exactness bound every fetch takes the dynamic path, and
+  // the fused chain reads the index rows the dynamic resolve fills. One
+  // texture on both units keeps the footprint down.
+  const FragmentProgram p = assemble_or_die(
+      "cumdist_single", core::shaders::cumulative_distance_single_source());
+  const float4 offset{-2, 0, 0, 0};
+  const FusionPlan plan = expect_fusion_matches_interpreter(
+      p, std::span(&offset, 1), (1 << 21) + 8, 1, TextureFormat::RGBA32F,
+      AddressMode::ClampToEdge, TextureFormat::R32F, /*shared=*/true);
+  EXPECT_EQ(plan.active, 3u);
+}
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));

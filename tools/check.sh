@@ -249,7 +249,9 @@ ctest --test-dir build-sanitize --output-on-failure -L 'net|slow' -j
 
 echo "==> SoA engine (two-way fuzz oracle + parallel determinism, ASan/UBSan)"
 # The fuzz oracle diffs interpreter vs soa bit for bit on randomized
-# programs; the ParallelPipeline.Soa* tests pin the SoA engine to the
+# programs; the ReplayMemo and SoaStaticFusion tests do the same for the
+# replay memo's keys and for static fetches in fused loops; the
+# ParallelPipeline.Soa* tests pin the SoA engine to the
 # sequential interpreter across worker counts {1,2,4,7}; the Device tests
 # drive one device's pipe runners at {1,2,3,4,7} on both sides of the
 # dispatch grain; the BandStack tests cover the strided band upload.
@@ -257,12 +259,13 @@ echo "==> SoA engine (two-way fuzz oracle + parallel determinism, ASan/UBSan)"
 # stale plane read or a bad stride fails fast even when extra ctest args
 # filtered them out of the main sanitizer pass.
 ctest --test-dir build-sanitize --output-on-failure \
-  -R 'ProgramFuzz|ParallelPipeline\.Soa|Device\.|BandStack' -j
+  -R 'ProgramFuzz|ReplayMemo|SoaStaticFusion|ParallelPipeline\.Soa|Device\.|BandStack' -j
 
 echo "==> ThreadSanitizer (concurrency suite)"
 # TSan slows execution ~10x, so run the tests that exercise real
-# concurrency: one device's pipe runners (Device.*) and the band uploads
-# that feed them (BandStack), the chunk-parallel pipeline/scheduler
+# concurrency: one device's pipe runners (Device.*), the band uploads
+# that feed them (BandStack), the replay memo and static fusion oracles
+# (ReplayMemo, SoaStaticFusion: multi-pipe draws), the chunk-parallel pipeline/scheduler
 # determinism suite, the serving-layer suite (worker threads + concurrent
 # clients), the
 # caching layer (LRU eviction under contention, the shared program store,
@@ -274,7 +277,7 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHS_SANITIZE=thread
 cmake --build build-tsan -j
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Device\.|BandStack|ParallelPipeline|ChunkScheduler|ProgramFuzz|Serve|Cache|ThreadPool|TaskGroup|StreamExecutor|Trace\.|Histogram|FlightRecorder|Timeline|Net' \
+  -R 'Device\.|BandStack|ParallelPipeline|ChunkScheduler|ProgramFuzz|ReplayMemo|SoaStaticFusion|Serve|Cache|ThreadPool|TaskGroup|StreamExecutor|Trace\.|Histogram|FlightRecorder|Timeline|Net' \
   -j "${CTEST_ARGS[@]}"
 # The sharded tier under TSan: the router's event-loop thread vs
 # submit/wait/kill callers, with real worker processes behind it.
