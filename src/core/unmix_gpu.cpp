@@ -179,8 +179,8 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
   // The weighted-sum shader is specialized per (endmember, band group)
   // weight constant, so the program cache must hold all c * groups of
   // them plus the fixed programs. Otherwise the per-chunk loop thrashes
-  // it, and every pass lowers again and replays in full instead of
-  // reusing the device's replay memo.
+  // it and every pass lowers again. (They share one fetch pattern, so
+  // the device's replay memo records them once either way.)
   worker_sim.program_cache_capacity =
       std::max(worker_sim.program_cache_capacity,
                static_cast<std::size_t>(c * groups + 8));

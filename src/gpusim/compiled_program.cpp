@@ -1,6 +1,7 @@
 #include "gpusim/compiled_program.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <type_traits>
 
 #include "gpusim/soa_program.hpp"
@@ -18,8 +19,9 @@ float4 fold_swizzle_negate(float4 v, const Swizzle& s, bool negate) {
 // ---- specialization key ----------------------------------------------------
 
 void put_bytes(std::vector<std::uint8_t>& key, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  key.insert(key.end(), b, b + n);
+  const std::size_t at = key.size();
+  key.resize(at + n);
+  std::memcpy(key.data() + at, p, n);
 }
 
 template <typename T>
@@ -345,25 +347,82 @@ SharedProgramStore::Stats SharedProgramStore::stats() const {
 
 // ---- replay memo -----------------------------------------------------------
 
-const PassCacheTotals* ReplayMemo::find(
-    int width, int height, const Alias& alias,
-    std::span<const std::uint64_t> coord_generations) const {
-  for (const Record& r : records_) {
-    if (r.width == width && r.height == height && r.alias == alias &&
-        std::ranges::equal(r.coord_generations, coord_generations)) {
-      return &r.totals;
+ReplayMemo::Key ReplayMemo::key(const std::shared_ptr<const SoaProgram>& program,
+                                int width, int height,
+                                std::span<const Texture2D* const> textures,
+                                std::span<const std::uint32_t> texture_ids,
+                                std::span<const std::uint64_t> coord_generations) {
+  const SoaProgram& sp = *program;
+  const CompiledProgram& cp = *sp.compiled;
+  Key k;
+  std::vector<std::uint8_t>& key = k.bytes;
+  key.reserve(96 + 10 * sp.fetch.size());
+  put(key, static_cast<std::int32_t>(width));
+  put(key, static_cast<std::int32_t>(height));
+  // Ids compare as the cache's tags hold them, shifted into bits 48+. A
+  // unit past the bound inputs maps to itself.
+  std::array<std::uint8_t, kMaxTexUnits> alias;
+  for (std::size_t u = 0; u < alias.size(); ++u) {
+    alias[u] = static_cast<std::uint8_t>(u);
+    for (std::size_t v = 0; v < u && u < texture_ids.size(); ++v) {
+      if (std::uint64_t{texture_ids[v]} << 48 ==
+          std::uint64_t{texture_ids[u]} << 48) {
+        alias[u] = static_cast<std::uint8_t>(v);
+        break;
+      }
     }
+  }
+  put(key, alias);
+
+  bool dynamic = false;
+  std::uint32_t sampled = 0;
+  put(key, static_cast<std::uint32_t>(sp.fetch.size()));
+  for (std::size_t s = 0; s < sp.fetch.size(); ++s) {
+    const SoaFetchPlan& plan = sp.fetch[s];
+    const std::uint8_t unit = cp.tex_unit_of_fetch[s];
+    sampled |= 1u << unit;
+    put(key, unit);
+    put(key, plan.mode);
+    switch (plan.mode) {
+      case SoaFetchPlan::Mode::Static:
+        put(key, plan.dx);
+        put(key, plan.dy);
+        break;
+      case SoaFetchPlan::Mode::Uniform:
+        put(key, plan.ux);
+        put(key, plan.uy);
+        break;
+      case SoaFetchPlan::Mode::Dynamic:
+        dynamic = true;
+        break;
+    }
+  }
+  for (std::size_t u = 0; u < textures.size() && u < kMaxTexUnits; ++u) {
+    if (!(sampled & (1u << u))) continue;
+    const Texture2D& tex = *textures[u];
+    put(key, static_cast<std::int32_t>(tex.width()));
+    put(key, static_cast<std::int32_t>(tex.height()));
+    put(key, tex.format());
+    put(key, tex.address_mode());
+  }
+  if (dynamic) {
+    k.program = program;
+    for (std::uint64_t g : coord_generations) put(key, g);
+  }
+  k.hash = fnv1a(key);
+  return k;
+}
+
+const PassCacheTotals* ReplayMemo::find(const Key& key) const {
+  for (const Record& r : records_) {
+    if (r.key == key) return &r.totals;
   }
   return nullptr;
 }
 
-void ReplayMemo::record(int width, int height, const Alias& alias,
-                        std::span<const std::uint64_t> coord_generations,
-                        const PassCacheTotals& totals) {
+void ReplayMemo::record(Key key, const PassCacheTotals& totals) {
   if (records_.size() >= kMaxRecords) records_.erase(records_.begin());
-  records_.push_back(Record{
-      width, height, alias,
-      {coord_generations.begin(), coord_generations.end()}, totals});
+  records_.push_back(Record{std::move(key), totals});
 }
 
 // ---- program cache ---------------------------------------------------------
@@ -376,7 +435,7 @@ ProgramCache::ProgramCache(std::size_t capacity)
 
 std::shared_ptr<const SoaProgram> ProgramCache::get(
     const FragmentProgram& program, std::span<const float4> constants,
-    std::span<const Texture2D* const> textures, ReplayMemo** memo) {
+    std::span<const Texture2D* const> textures) {
   std::vector<std::uint8_t> key = make_key(program, constants, textures);
   const std::uint64_t hash = fnv1a(key);
   for (Entry& e : entries_) {
@@ -384,7 +443,6 @@ std::shared_ptr<const SoaProgram> ProgramCache::get(
       ++hits_;
       trace_hits_->increment();
       e.stamp = ++stamp_;
-      if (memo != nullptr) *memo = e.memo.get();
       return e.program;
     }
   }
@@ -405,8 +463,6 @@ std::shared_ptr<const SoaProgram> ProgramCache::get(
   e.program = shared_store_
                   ? shared_store_->get_or_compile(program, constants, textures)
                   : lower(program, constants, textures);
-  e.memo = std::make_unique<ReplayMemo>();
-  if (memo != nullptr) *memo = e.memo.get();
   entries_.push_back(std::move(e));
   return entries_.back().program;
 }

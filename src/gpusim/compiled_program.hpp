@@ -27,8 +27,9 @@
 //
 // ProgramCache (per device) and SharedProgramStore (across devices) hold
 // the fully lowered SoaProgram, keyed by the exact specialization bytes.
-// Each ProgramCache entry also carries the device's ReplayMemo for that
-// program, so recorded cache statistics leave with the evicted program.
+// The ReplayMemo (one per device) holds recorded cache totals apart from
+// them, keyed by the fetch pattern rather than the program, so programs
+// that differ only in constants feeding ALU share one record.
 #pragma once
 
 #include <array>
@@ -166,40 +167,52 @@ struct PassCacheTotals {
   std::uint64_t unique_tile_bytes = 0;  ///< compulsory DRAM texture traffic
 };
 
-/// Cache totals recorded for one lowered program's fullscreen passes,
-/// keyed by what else the totals depend on: the viewport, which bound
-/// units share a texture, and the write generation (see Device) of each
-/// texture bound to a unit in SoaProgram::coord_units, whose texels place
-/// the dynamic fetches. Device::draw() records on the first such pass and
-/// reuses the totals on every later one instead of replaying. Per device,
-/// and bounded: the oldest record goes once kMaxRecords are held.
+/// Cache totals of fullscreen SoA passes, recorded by Device::draw() on
+/// the first pass of a Key and reused on every later one instead of
+/// replaying. One per device, bounded: the oldest record goes once
+/// kMaxRecords are held.
 class ReplayMemo {
  public:
-  /// Per texture unit, the first unit bound to the same texture; a unit
-  /// past the bound inputs maps to itself. Ping-pong passes that swap
-  /// texture ids keep their pattern.
-  using Alias = std::array<std::uint8_t, kMaxTexUnits>;
+  static constexpr std::size_t kMaxRecords = 64;
 
-  /// `coord_generations` holds one generation per coordinate unit, in
-  /// unit order.
-  const PassCacheTotals* find(
-      int width, int height, const Alias& alias,
-      std::span<const std::uint64_t> coord_generations) const;
-  void record(int width, int height, const Alias& alias,
-              std::span<const std::uint64_t> coord_generations,
-              const PassCacheTotals& totals);
+  /// Everything the replay of a fullscreen pass inside the static plans'
+  /// exactness bound reads: the viewport, the alias pattern (per unit,
+  /// the first unit bound to the same texture, so ping-pong passes that
+  /// swap texture ids keep their pattern), each fetch slot's unit and
+  /// plan (mode, dx/dy or ux/uy) in program order, and each sampled
+  /// unit's width, height, format and address mode. For an
+  /// all-Static/Uniform program these fix every probed address in every
+  /// pipe, so programs that differ only in constants feeding ALU share a
+  /// key. When some slot is Dynamic its coordinates come from ALU (and
+  /// so from constants) and from the texels of SoaProgram::coord_units:
+  /// the key then also holds the lowered program (kept alive here, so its
+  /// address cannot be reused) and those units' write generations.
+  struct Key {
+    std::uint64_t hash = 0;  ///< of `bytes`; compared first
+    std::shared_ptr<const SoaProgram> program;  ///< null when no slot is Dynamic
+    std::vector<std::uint8_t> bytes;
+
+    bool operator==(const Key&) const = default;
+  };
+
+  /// The key of a fullscreen pass of `program` over `textures` (ids
+  /// `texture_ids`). `coord_generations` holds one write generation per
+  /// unit in program->coord_units, in unit order.
+  static Key key(const std::shared_ptr<const SoaProgram>& program, int width,
+                 int height, std::span<const Texture2D* const> textures,
+                 std::span<const std::uint32_t> texture_ids,
+                 std::span<const std::uint64_t> coord_generations);
+
+  const PassCacheTotals* find(const Key& key) const;
+  void record(Key key, const PassCacheTotals& totals);
+  std::size_t size() const { return records_.size(); }
 
  private:
-  static constexpr std::size_t kMaxRecords = 8;
-
   struct Record {
-    int width = 0;
-    int height = 0;
-    Alias alias{};
-    std::vector<std::uint64_t> coord_generations;
+    Key key;
     PassCacheTotals totals;
   };
-  std::vector<Record> records_;
+  std::vector<Record> records_;  // oldest first
 };
 
 /// LRU cache of lowered programs, keyed by the exact specialization
@@ -220,12 +233,10 @@ class ProgramCache {
   }
 
   /// The owning pointer keeps the plan alive for a whole draw even if a
-  /// later lookup evicts it. `memo`, when given, receives the entry's
-  /// replay memo, valid until the next get().
+  /// later lookup evicts it.
   std::shared_ptr<const SoaProgram> get(
       const FragmentProgram& program, std::span<const float4> constants,
-      std::span<const Texture2D* const> textures,
-      ReplayMemo** memo = nullptr);
+      std::span<const Texture2D* const> textures);
 
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -241,8 +252,6 @@ class ProgramCache {
     /// Stable across eviction; shared with (and possibly owned by) the
     /// cross-device store.
     std::shared_ptr<const SoaProgram> program;
-    /// This device's recorded replays of `program`; dies with the entry.
-    std::unique_ptr<ReplayMemo> memo;
   };
 
   std::size_t capacity_;

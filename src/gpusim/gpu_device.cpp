@@ -39,13 +39,16 @@ constexpr std::uint64_t kPassGrain = 32768;
 /// to the span's own wall duration, the work counters, both DRAM traffic
 /// estimates (cache-miss bytes and compulsory unique-tile bytes) and, with
 /// the cache model on, how the cache totals were obtained (`replay`:
-/// "full" replay or reused from the "memo"), and how many host threads ran
-/// the pass (`runners`).
+/// "full" replay or reused from the "memo"), how many host threads ran
+/// the pass (`runners`) and in how many slices (`slices`: logical pipes
+/// when the pass replays, runners when it does not).
 void annotate_pass_span(trace::Span& span, const PassStats& stats,
-                        const char* replay, std::size_t runners) {
+                        const char* replay, std::size_t runners,
+                        std::size_t slices) {
   if (!span.active()) return;
   if (replay != nullptr) span.arg("replay", replay);
   span.arg("runners", static_cast<double>(runners));
+  span.arg("slices", static_cast<double>(slices));
   span.arg("width", stats.width);
   span.arg("height", stats.height);
   span.arg("fragments", static_cast<double>(stats.fragments));
@@ -79,21 +82,6 @@ void annotate_engine_path(trace::Span& span, const SoaProgram* soa,
   span.arg("fused", static_cast<double>(soa_active_fusions(*soa, textures)));
 }
 
-/// The ReplayMemo::Alias of a binding. Ids compare as the cache's tags
-/// hold them, shifted into bits 48+.
-ReplayMemo::Alias unit_alias(std::span<const std::uint32_t> ids) {
-  ReplayMemo::Alias alias;
-  for (std::size_t u = 0; u < alias.size(); ++u) {
-    alias[u] = static_cast<std::uint8_t>(u);
-    for (std::size_t v = 0; v < u && u < ids.size(); ++v) {
-      if (std::uint64_t{ids[v]} << 48 == std::uint64_t{ids[u]} << 48) {
-        alias[u] = static_cast<std::uint8_t>(v);
-        break;
-      }
-    }
-  }
-  return alias;
-}
 }  // namespace
 
 bool parse_exec_engine(std::string_view name, ExecEngine& out) {
@@ -390,36 +378,35 @@ std::size_t Device::pass_runners(const FragmentProgram& program,
                                  runners_);
 }
 
-void Device::run_pipes(std::size_t runners,
-                       const std::function<void(std::size_t)>& run_pipe) {
-  const auto pipes = static_cast<std::size_t>(profile_.fragment_pipes);
+void Device::run_slices(std::size_t slices, std::size_t runners,
+                        const std::function<void(std::size_t)>& run_slice) {
   if (runners <= 1) {
     ++passes_inline_;
     trace_dispatch_inline_->increment();
-    for (std::size_t p = 0; p < pipes; ++p) run_pipe(p);
+    for (std::size_t s = 0; s < slices; ++s) run_slice(s);
     return;
   }
   ++passes_fanned_out_;
   trace_dispatch_fanout_->increment();
   if (!pool_) pool_ = std::make_unique<util::ThreadPool>(runners_ - 1);
   // One index per runner (the pool's blocks are single indices while
-  // runners <= its threads + 1), each a contiguous range of pipes.
+  // runners <= its threads + 1), each a contiguous range of slices.
   pool_->parallel_for(runners, [&](std::size_t r) {
-    const std::size_t end = (r + 1) * pipes / runners;
-    for (std::size_t p = r * pipes / runners; p < end; ++p) run_pipe(p);
+    const std::size_t end = (r + 1) * slices / runners;
+    for (std::size_t s = r * slices / runners; s < end; ++s) run_slice(s);
   });
 }
 
 PassStats Device::finalize_pass(const FragmentProgram& program,
                                 const BoundPass& bound, std::uint64_t fragments,
-                                std::span<const ExecCounters> pipe_counters,
+                                std::span<const ExecCounters> slice_counters,
                                 const PassCacheTotals& cache) {
   PassStats stats;
   stats.program = program.name;
   stats.width = bound.width;
   stats.height = bound.height;
   stats.fragments = fragments;
-  for (const ExecCounters& c : pipe_counters) stats.exec += c;
+  for (const ExecCounters& c : slice_counters) stats.exec += c;
   stats.cache = cache.cache;
   stats.cache_miss_bytes = cache.miss_bytes;
   stats.unique_tile_bytes = cache.unique_tile_bytes;
@@ -464,39 +451,34 @@ PassStats Device::draw(const FragmentProgram& program,
   const int height = bound.height;
   const int pipes = profile_.fragment_pipes;
 
-  std::vector<ExecCounters> pipe_counters(static_cast<std::size_t>(pipes));
-
-  // Lower (or fetch from the cache) once per pass, outside the pipe loop.
+  // Lower (or fetch from the cache) once per pass, outside the slice loop.
   std::shared_ptr<const SoaProgram> soa;
-  ReplayMemo* memo = nullptr;
   if (config_.exec_engine == ExecEngine::Soa) {
-    soa = program_cache_.get(program, constants, bound.inputs, &memo);
+    soa = program_cache_.get(program, constants, bound.inputs);
   }
 
-  // Replay memo. Every pass starts from flushed caches, so a pass's cache
-  // totals depend only on the lowered program (code, constants, texture
-  // shapes), the viewport, which units share a texture and the texels
-  // that reach a dynamic fetch's coordinate, which the generations of the
-  // coord_units textures stand for; the per-device cache geometry and
-  // pipe partition are fixed. Replay the first draw of a key and reuse
-  // its totals on later ones, which run with no cache bound.
+  // Replay memo. Every pass starts from flushed caches, and the
+  // per-device cache geometry and pipe partition are fixed, so a pass's
+  // cache totals depend only on what ReplayMemo::Key holds. Replay the
+  // first draw of a key and reuse its totals on later ones.
   const bool plans_exact =
       soa != nullptr && soa_static_plans_exact(*soa, width, height);
   const bool memoizable = plans_exact && config_.texture_cache &&
                           pipe_caches_.front().set_index_ignores_texture_id();
-  ReplayMemo::Alias alias{};
-  std::array<std::uint64_t, kMaxTexUnits> coord_gens{};
-  std::size_t n_coord = 0;
+  ReplayMemo::Key memo_key;
   const PassCacheTotals* memoized = nullptr;
   if (memoizable) {
-    alias = unit_alias(bound.input_ids);
-    for (std::size_t u = 0; u < inputs.size() && u < alias.size(); ++u) {
+    std::array<std::uint64_t, kMaxTexUnits> coord_gens{};
+    std::size_t n_coord = 0;
+    for (std::size_t u = 0; u < inputs.size() && u < kMaxTexUnits; ++u) {
       if (soa->coord_units & (1u << u)) {
         coord_gens[n_coord++] = slots_[inputs[u] - 1].generation;
       }
     }
-    memoized = memo->find(width, height, alias,
-                          std::span(coord_gens.data(), n_coord));
+    memo_key = ReplayMemo::key(soa, width, height, bound.inputs,
+                               bound.input_ids,
+                               std::span(coord_gens.data(), n_coord));
+    memoized = replay_memo_.find(memo_key);
     if (memoized != nullptr) {
       ++replay_memo_hits_;
       trace_memo_hits_->increment();
@@ -505,36 +487,47 @@ PassStats Device::draw(const FragmentProgram& program,
       trace_memo_misses_->increment();
     }
   }
+  const bool replays = config_.texture_cache && memoized == nullptr;
   std::vector<TileTouchTracker> pipe_tiles;
-  if (memoized == nullptr) {
+  if (replays) {
     pipe_tiles = make_tile_trackers(bound);
     for (auto& cache : pipe_caches_) cache.flush();
   }
 
-  // Contiguous row blocks per logical pipe: deterministic partitioning that
-  // is independent of the host thread count, so cache statistics and
-  // modeled times are reproducible everywhere. Blocks are aligned to the
-  // texture-cache tile height, mirroring real rasterizers' screen-space
-  // tiling -- otherwise tiles straddling two pipes would be fetched into
-  // both L1s and the modeled memory traffic would be inflated.
+  // A replaying pass runs one contiguous row block per logical pipe:
+  // deterministic partitioning that is independent of the host thread
+  // count, so cache statistics and modeled times are reproducible
+  // everywhere. Blocks are aligned to the texture-cache tile height,
+  // mirroring real rasterizers' screen-space tiling -- otherwise tiles
+  // straddling two pipes would be fetched into both L1s and the modeled
+  // memory traffic would be inflated. A pass that replays nothing has no
+  // per-pipe state, and its outputs and analytic counters do not depend
+  // on the partition: it runs one row range per runner.
+  const std::size_t runners = pass_runners(
+      program, static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height));
+  const std::size_t slices = replays ? static_cast<std::size_t>(pipes) : runners;
+  std::vector<ExecCounters> slice_counters(slices);
   const int tile_rows = (height + kTrackerTile - 1) / kTrackerTile;
-  auto run_pipe = [&](std::size_t pipe) {
-    const int y_begin = std::min(
-        height, kTrackerTile * (static_cast<int>(pipe) * tile_rows / pipes));
-    const int y_end = std::min(
-        height, kTrackerTile * (static_cast<int>(pipe + 1) * tile_rows / pipes));
+  const auto first_row = [&](std::size_t s) {
+    const int i = static_cast<int>(s);
+    return replays ? std::min(height, kTrackerTile * (i * tile_rows / pipes))
+                   : i * height / static_cast<int>(slices);
+  };
+  auto run_slice = [&](std::size_t s) {
+    const int y_begin = first_row(s);
+    const int y_end = first_row(s + 1);
     if (soa != nullptr) {
-      run_soa_rows(*soa, soa_bindings(bound, pipe, pipe_tiles), width,
-                   y_begin, y_end, pipe_counters[pipe]);
+      run_soa_rows(*soa, soa_bindings(bound, s, pipe_tiles), width, y_begin,
+                   y_end, slice_counters[s]);
       return;
     }
     FragmentContext ctx;
     ctx.constants = constants;
     ctx.textures = bound.inputs;
     ctx.texture_ids = bound.input_ids;
-    ctx.cache = config_.texture_cache ? &pipe_caches_[pipe] : nullptr;
-    ctx.tiles = config_.texture_cache ? &pipe_tiles[pipe] : nullptr;
-    ExecCounters& counters = pipe_counters[pipe];
+    ctx.cache = replays ? &pipe_caches_[s] : nullptr;
+    ctx.tiles = replays ? &pipe_tiles[s] : nullptr;
+    ExecCounters& counters = slice_counters[s];
     for (int y = y_begin; y < y_end; ++y) {
       for (int x = 0; x < width; ++x) {
         ctx.texcoord[0] = {static_cast<float>(x) + 0.5f,
@@ -548,27 +541,22 @@ PassStats Device::draw(const FragmentProgram& program,
       }
     }
   };
-  const std::size_t runners = pass_runners(
-      program, static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height));
-  run_pipes(runners, run_pipe);
+  run_slices(slices, runners, run_slice);
 
   PassCacheTotals cache_totals;
   if (memoized != nullptr) {
     cache_totals = *memoized;
-  } else {
+  } else if (replays) {
     cache_totals = collect_cache_totals(bound, pipe_tiles);
-    if (memoizable) {
-      memo->record(width, height, alias, std::span(coord_gens.data(), n_coord),
-                   cache_totals);
-    }
+    if (memoizable) replay_memo_.record(std::move(memo_key), cache_totals);
   }
   const PassStats stats = finalize_pass(
       program, bound,
       static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height),
-      pipe_counters, cache_totals);
+      slice_counters, cache_totals);
   const char* replay = nullptr;
   if (config_.texture_cache) replay = memoized != nullptr ? "memo" : "full";
-  annotate_pass_span(span, stats, replay, runners);
+  annotate_pass_span(span, stats, replay, runners, slices);
   annotate_engine_path(span, soa.get(), bound.inputs, plans_exact);
   return stats;
 }
@@ -650,12 +638,12 @@ PassStats Device::draw_fragments(const FragmentProgram& program,
       cell = 1;
     }
   }
-  run_pipes(runners, run_pipe);
+  run_slices(static_cast<std::size_t>(pipes), runners, run_pipe);
 
   const PassStats stats = finalize_pass(
       program, bound, n, pipe_counters, collect_cache_totals(bound, pipe_tiles));
   annotate_pass_span(span, stats, config_.texture_cache ? "full" : nullptr,
-                     runners);
+                     runners, static_cast<std::size_t>(pipes));
   annotate_engine_path(span, soa.get(), bound.inputs, false);
   return stats;
 }

@@ -210,6 +210,11 @@ class Device {
   /// coordinates come from texels keys its replay memo on the generations
   /// of those textures, so it replays the cache model again only after
   /// one of them was written.
+  ///
+  /// A pass that replays runs as one slice per logical pipe, since each
+  /// pipe's cache and tile tracker see only its own rows. A pass that
+  /// replays nothing (a memo hit, or the cache model off) runs as one
+  /// contiguous row slice per runner it takes.
   PassStats draw(const FragmentProgram& program,
                  std::span<const TextureHandle> inputs,
                  std::span<const float4> constants,
@@ -233,9 +238,11 @@ class Device {
   /// The lowered-program cache (hit/miss statistics for tests and tools).
   const ProgramCache& program_cache() const { return program_cache_; }
 
-  /// Replay-memo lookups by memo-eligible draw() passes (for tests and
-  /// tools): a hit reused recorded cache totals instead of replaying, a
-  /// miss replayed and recorded them. See ReplayMemo.
+  /// The device's recorded replays (for tests and tools). See ReplayMemo.
+  const ReplayMemo& replay_memo() const { return replay_memo_; }
+  /// Replay-memo lookups by memo-eligible draw() passes: a hit reused
+  /// recorded cache totals instead of replaying, a miss replayed and
+  /// recorded them.
   std::uint64_t replay_memo_hits() const { return replay_memo_hits_; }
   std::uint64_t replay_memo_misses() const { return replay_memo_misses_; }
 
@@ -277,14 +284,14 @@ class Device {
   /// Runners a pass of `fragments` fragments of `program` pays for.
   std::size_t pass_runners(const FragmentProgram& program,
                            std::uint64_t fragments) const;
-  /// Runs run_pipe(p) for every logical pipe p on `runners` host threads,
-  /// each taking a contiguous range of pipes; one runner runs them in
-  /// pipe order on the calling thread.
-  void run_pipes(std::size_t runners,
-                 const std::function<void(std::size_t)>& run_pipe);
+  /// Runs run_slice(s) for every s in [0, slices) on `runners` host
+  /// threads (at most `slices`), each taking a contiguous range of slices;
+  /// one runner runs them in order on the calling thread.
+  void run_slices(std::size_t slices, std::size_t runners,
+                  const std::function<void(std::size_t)>& run_slice);
   PassStats finalize_pass(const FragmentProgram& program, const BoundPass& bound,
                           std::uint64_t fragments,
-                          std::span<const ExecCounters> pipe_counters,
+                          std::span<const ExecCounters> slice_counters,
                           const PassCacheTotals& cache);
 
   Texture2D& slot(TextureHandle handle) const;
@@ -296,6 +303,7 @@ class Device {
   std::uint64_t memory_used_ = 0;
   std::vector<TextureCache> pipe_caches_;  // one per logical pipe
   ProgramCache program_cache_;
+  ReplayMemo replay_memo_;
   std::uint64_t replay_memo_hits_ = 0;
   std::uint64_t replay_memo_misses_ = 0;
   std::uint64_t passes_inline_ = 0;

@@ -38,15 +38,16 @@
 // probe loop only loads finished tags.
 //
 // A fullscreen pass inside the exactness bound (soa_static_plans_exact)
-// fetches texel coordinates that depend only on the program, the
-// viewport and the texels of the units that feed a dynamic fetch's
-// coordinate (SoaProgram::coord_units, none for an all-static/uniform
-// program). So its cache statistics and tile-touch marks are a function
-// of those, plus which units share a texture. Device::draw() replays such
-// a pass once, records its totals keyed on the coordinate textures' write
-// generations, and runs later redraws with no cache or tracker bound (see
-// ReplayMemo in compiled_program.hpp). The executor itself replays
-// whenever its bindings carry a cache.
+// fetches texel coordinates that depend only on the viewport, each fetch
+// slot's unit and plan, and the sampled textures' shapes -- plus, when a
+// slot is Dynamic, the program and the texels of the units that feed its
+// coordinate (SoaProgram::coord_units). So its cache statistics and
+// tile-touch marks are a function of those and of which units share a
+// texture. Device::draw() replays such a pass once, records its totals in
+// the device's ReplayMemo (compiled_program.hpp), and runs later passes
+// with the same key -- other programs with the same fetch pattern too --
+// with no cache or tracker bound, one row slice per runner. The executor
+// itself replays whenever its bindings carry a cache.
 //
 // A small gather->ALU fusion pass further removes plane traffic: a
 // componentwise ADD/SUB/MUL whose two sources are identity reads of

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -186,17 +187,33 @@ SyntheticScene generate_indian_pines_scene(const SceneConfig& config) {
     }
   }
 
+  // Classes mixed with their background draw one jitter per pixel they
+  // have weight in, in ascending class order. Backgrounds are pure, so the
+  // drawing classes are known before any draw.
+  std::vector<int> mixed;
+  for (int c = 0; c < nclasses; ++c) {
+    if (self_fraction[static_cast<std::size_t>(c)] >= 1.0) continue;
+    HS_ASSERT(self_fraction[static_cast<std::size_t>(
+                  background[static_cast<std::size_t>(c)])] >= 1.0);
+    mixed.push_back(c);
+  }
+
   // ---- 4. Pixel synthesis ----------------------------------------------------
   // Noise is scaled by the pixel's mean signal (shot-noise-like), matching
   // how sensor SNR specs relate to scene radiance: dark surfaces (water)
   // get proportionally small absolute noise instead of being buried.
   const double snr_linear = std::pow(10.0, config.snr_db / 20.0);
   const int m = config.mixing_halfwidth;
+  const auto bands = static_cast<std::size_t>(config.bands);
 
   std::vector<double> weights(static_cast<std::size_t>(nclasses));
-  std::vector<float> spectrum(static_cast<std::size_t>(config.bands));
   std::vector<int> present;  // classes with positive weight, ascending
   present.reserve(static_cast<std::size_t>(nclasses));
+  std::vector<int> jittered;  // mixed classes with positive weight
+  jittered.reserve(mixed.size());
+  std::vector<double> jitter(mixed.size());
+  std::vector<double> signal(bands);
+  std::vector<double> noise(bands);
 
   // The Gaussian window kernel, row-major over (dy, dx) in [-m, m]^2.
   const int win = 2 * m + 1;
@@ -229,15 +246,18 @@ SyntheticScene generate_indian_pines_scene(const SceneConfig& config) {
 
       // Intrinsic mixing: redistribute part of each class's weight to its
       // background endmember.
-      for (int c = 0; c < nclasses; ++c) {
-        const double w = weights[static_cast<std::size_t>(c)];
-        if (w <= 0 || self_fraction[static_cast<std::size_t>(c)] >= 1.0) continue;
-        double self = self_fraction[static_cast<std::size_t>(c)] +
-                      config.intrinsic_mix_jitter * rng.normal();
-        self = std::clamp(self, 0.15, 1.0);
-        weights[static_cast<std::size_t>(c)] = w * self;
-        weights[static_cast<std::size_t>(background[static_cast<std::size_t>(c)])] +=
-            w * (1.0 - self);
+      jittered.clear();
+      for (int c : mixed) {
+        if (weights[static_cast<std::size_t>(c)] > 0) jittered.push_back(c);
+      }
+      rng.normals(std::span(jitter.data(), jittered.size()));
+      for (std::size_t j = 0; j < jittered.size(); ++j) {
+        const auto c = static_cast<std::size_t>(jittered[j]);
+        const double w = weights[c];
+        const double self = std::clamp(
+            self_fraction[c] + config.intrinsic_mix_jitter * jitter[j], 0.15, 1.0);
+        weights[c] = w * self;
+        weights[static_cast<std::size_t>(background[c])] += w * (1.0 - self);
       }
 
       double wsum = 0;
@@ -245,35 +265,37 @@ SyntheticScene generate_indian_pines_scene(const SceneConfig& config) {
       const double gain =
           1.0 + config.brightness_jitter * rng.uniform(-1.0, 1.0);
 
-      // Only the few classes with positive weight contribute; visiting
-      // them in ascending order keeps the per-band sums bit-identical to
-      // a scan over every class.
+      // Only the few classes with positive weight contribute. Adding them
+      // class by class in ascending order gives every band the same sum,
+      // in the same order, as a scan over every class.
       present.clear();
       for (int c = 0; c < nclasses; ++c) {
         if (weights[static_cast<std::size_t>(c)] > 0) present.push_back(c);
       }
-
-      double signal_mean = 0;
-      for (int l = 0; l < config.bands; ++l) {
-        double v = 0;
-        for (int c : present) {
-          v += weights[static_cast<std::size_t>(c)] *
-               static_cast<double>(lib.signatures[static_cast<std::size_t>(c)]
-                                                 [static_cast<std::size_t>(l)]);
+      std::fill(signal.begin(), signal.end(), 0.0);
+      for (int c : present) {
+        const double w = weights[static_cast<std::size_t>(c)];
+        const float* sig = lib.signatures[static_cast<std::size_t>(c)].data();
+        for (std::size_t l = 0; l < bands; ++l) {
+          signal[l] += w * static_cast<double>(sig[l]);
         }
-        v = v / wsum * gain;
-        spectrum[static_cast<std::size_t>(l)] = static_cast<float>(v);
+      }
+
+      // BIP keeps the pixel's bands contiguous.
+      float* px = &scene.cube.at(x, y, 0);
+      double signal_mean = 0;
+      for (std::size_t l = 0; l < bands; ++l) {
+        const double v = signal[l] / wsum * gain;
+        px[l] = static_cast<float>(v);
         signal_mean += v;
       }
       signal_mean /= config.bands;
       const double noise_sigma = signal_mean / snr_linear;
-      for (int l = 0; l < config.bands; ++l) {
-        const double v = static_cast<double>(spectrum[static_cast<std::size_t>(l)]) +
-                         noise_sigma * rng.normal();
-        spectrum[static_cast<std::size_t>(l)] =
-            static_cast<float>(std::max(v, 1e-4));
+      rng.normals(noise);
+      for (std::size_t l = 0; l < bands; ++l) {
+        const double v = static_cast<double>(px[l]) + noise_sigma * noise[l];
+        px[l] = static_cast<float>(std::max(v, 1e-4));
       }
-      scene.cube.set_pixel(x, y, spectrum);
     }
   }
   return scene;

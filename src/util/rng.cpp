@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -15,22 +16,40 @@ std::uint64_t Xoshiro256::uniform_int(std::uint64_t n) {
   return v % n;
 }
 
-double Xoshiro256::normal() {
-  if (have_cached_normal_) {
+void Xoshiro256::normals(std::span<double> out) {
+  std::size_t i = 0;
+  if (i < out.size() && have_cached_normal_) {
     have_cached_normal_ = false;
-    return cached_normal_;
+    out[i++] = cached_normal_;
   }
-  // Marsaglia polar method: draw points in the unit disc, transform.
-  double u, v, s;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double f = std::sqrt(-2.0 * std::log(s) / s);
-  cached_normal_ = v * f;
-  have_cached_normal_ = true;
-  return u * f;
+  // Points of the unit disc in stream order: a rejected point is
+  // overwritten by the next draw instead of branching.
+  constexpr std::size_t kBatch = 32;
+  std::array<double, kBatch> us, vs, ss;
+  while (i < out.size()) {
+    const std::size_t pairs = std::min(kBatch, (out.size() - i + 1) / 2);
+    for (std::size_t k = 0; k < pairs;) {
+      const double u = uniform(-1.0, 1.0);
+      const double v = uniform(-1.0, 1.0);
+      const double s = u * u + v * v;
+      us[k] = u;
+      vs[k] = v;
+      ss[k] = s;
+      k += static_cast<std::size_t>((s < 1.0) & (s != 0.0));
+    }
+    for (std::size_t k = 0; k < pairs; ++k) {
+      ss[k] = std::sqrt(-2.0 * std::log(ss[k]) / ss[k]);
+    }
+    for (std::size_t k = 0; k < pairs; ++k) {
+      out[i++] = us[k] * ss[k];
+      if (i < out.size()) {
+        out[i++] = vs[k] * ss[k];
+      } else {
+        cached_normal_ = vs[k] * ss[k];
+        have_cached_normal_ = true;
+      }
+    }
+  }
 }
 
 }  // namespace hs::util

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace hs::util {
 
@@ -31,7 +32,7 @@ class SplitMix64 {
 
 /// xoshiro256**: general-purpose 64-bit generator (Blackman & Vigna).
 /// Satisfies UniformRandomBitGenerator so it can feed <random>
-/// distributions, but the uniform()/normal() members below avoid
+/// distributions, but the uniform()/normal()/normals() members below avoid
 /// the libstdc++ distribution objects entirely for cross-platform
 /// bit-exact reproducibility.
 class Xoshiro256 {
@@ -73,10 +74,22 @@ class Xoshiro256 {
   /// cheap here).
   std::uint64_t uniform_int(std::uint64_t n);
 
-  /// Standard normal via Marsaglia polar method (deterministic given the
-  /// stream position, unlike std::normal_distribution across libstdc++
-  /// versions).
-  double normal();
+  /// Fills `out` with standard normals via the Marsaglia polar method
+  /// (deterministic given the stream position, unlike
+  /// std::normal_distribution across libstdc++ versions). Each accepted
+  /// point of the unit disc yields two values; an odd count leaves the
+  /// second as a spare that the next call returns first. The points are
+  /// drawn branch-free into a small fixed batch and transformed together;
+  /// a call is bit-identical to out.size() calls of normal(), spare
+  /// included.
+  void normals(std::span<double> out);
+
+  /// One standard normal: normals() of one value.
+  double normal() {
+    double z = 0;
+    normals(std::span(&z, 1));
+    return z;
+  }
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev) { return mean + stddev * normal(); }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpusim/assembler.hpp"
@@ -276,6 +277,124 @@ GrainRun run_grain_passes(std::size_t threads, ExecEngine engine) {
   return run;
 }
 
+// Slicing: a pass that replays the cache model runs one slice per
+// logical pipe; one that replays nothing (a memo hit, or the cache model
+// off) one row range per runner. Outputs and every PassStats field must
+// not depend on either. On a 1100-texel-wide viewport (four full
+// 256-fragment tiles and a partial one per row), `heavy_static` is 65
+// units per fragment, so even one row takes two runners and leaves the
+// first of its two slices empty.
+constexpr int kSliceWidth = 1100;
+
+/// Static fetches only, so the SoA device memoizes its replay.
+FragmentProgram heavy_static_program() {
+  std::string src =
+      "!!HSFP1.0\n"
+      "TEX R1, fragment.texcoord[0], texture[0];\n"
+      "ADD R2, fragment.texcoord[0], {1.0, -1.0, 0.0, 0.0};\n"
+      "TEX R2, R2, texture[0];\n"
+      "ADD R3, fragment.texcoord[0], {-2.0, 1.0, 0.0, 0.0};\n"
+      "TEX R3, R3, texture[0];\n"
+      "ADD R4, fragment.texcoord[0], {3.0, 2.0, 0.0, 0.0};\n"
+      "TEX R4, R4, texture[0];\n";
+  for (int i = 0; i < 22; ++i) {
+    src += "MAD R1, R1, {0.5}, R2;\n";
+    src += "ADD R1, R1, R3;\n";
+  }
+  src += "ADD R1, R1, R4;\nMOV result.color, R1;\nEND\n";
+  return assemble_or_die("heavy_static", src);
+}
+
+/// How a pass's span says it ran.
+struct SliceArgs {
+  std::string replay;  ///< "full", "memo" or "" (cache model off)
+  double runners = 0;
+  double slices = 0;
+};
+
+struct SlicedRun {
+  std::vector<PassStats> stats;
+  std::vector<std::vector<float4>> images;
+  std::vector<SliceArgs> spans;  ///< empty when tracing is compiled out
+};
+
+/// Texels whose x and y place the heavy program's dependent fetch inside
+/// the image; `salt` gives a redraw new values.
+std::vector<float4> slice_texels(int width, int height, int salt) {
+  std::vector<float4> data(static_cast<std::size_t>(width) *
+                           static_cast<std::size_t>(height));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(salt) * 7;
+    data[i] = {static_cast<float>((j * 37) % 1097) - 1.5f,
+               static_cast<float>((j * 11) % static_cast<std::size_t>(height)),
+               static_cast<float>(j % 5), 1.f};
+  }
+  return data;
+}
+
+/// On a 24-pipe device with `threads` runners and a kSliceWidth x
+/// `height` viewport: light, heavy and heavy_static fullscreen; new
+/// texels, then heavy_static again (a memo hit on the SoA engine with the
+/// cache model on); and heavy over a fragment list.
+SlicedRun run_slice_passes(std::size_t threads, ExecEngine engine,
+                          bool texture_cache, int height) {
+  SimConfig cfg;
+  cfg.worker_threads = threads;
+  cfg.exec_engine = engine;
+  cfg.texture_cache = texture_cache;
+  Device dev(geforce_7800_gtx(), cfg);
+  const int w = kSliceWidth;
+  const TextureHandle in = dev.create_texture(w, height, TextureFormat::RGBA32F);
+  dev.upload(in, std::span<const float4>(slice_texels(w, height, 0)));
+  std::vector<Device::GeomFragment> frags;
+  for (int y = height - 1; y >= 0; --y) {
+    for (int x = 0; x < w; ++x) {
+      Device::GeomFragment f;
+      f.x = x;
+      f.y = y;
+      f.texcoord0 = {static_cast<float>(x) + 0.5f, static_cast<float>(y) + 0.5f,
+                     0.f, 1.f};
+      frags.push_back(f);
+    }
+  }
+
+  trace::reset();
+  trace::set_enabled(true);
+  SlicedRun run;
+  const TextureHandle ins[1] = {in};
+  for (int pass = 0; pass < 5; ++pass) {
+    const TextureHandle out = dev.create_texture(w, height, TextureFormat::RGBA32F);
+    const TextureHandle outs[1] = {out};
+    if (pass == 0) {
+      run.stats.push_back(dev.draw(light_program(), ins, {}, outs));
+    } else if (pass == 1) {
+      run.stats.push_back(dev.draw(heavy_program(), ins, {}, outs));
+    } else if (pass == 2) {
+      run.stats.push_back(dev.draw(heavy_static_program(), ins, {}, outs));
+    } else if (pass == 3) {
+      dev.upload(in, std::span<const float4>(slice_texels(w, height, 1)));
+      run.stats.push_back(dev.draw(heavy_static_program(), ins, {}, outs));
+    } else {
+      run.stats.push_back(dev.draw_fragments(heavy_program(), frags, ins, {}, outs));
+    }
+    run.images.push_back(dev.download(out));
+  }
+  trace::set_enabled(false);
+  for (const trace::TraceEvent& e : trace::snapshot()) {
+    if (e.cat != "pass") continue;
+    SliceArgs args;
+    for (const trace::TraceArg& arg : e.args) {
+      const std::string_view key(arg.key);
+      if (key == "replay") args.replay = arg.str;
+      if (key == "runners") args.runners = arg.num;
+      if (key == "slices") args.slices = arg.num;
+    }
+    run.spans.push_back(args);
+  }
+  trace::reset();
+  return run;
+}
+
 TEST(Device, ResultsIndependentOfWorkerThreads) {
   for (ExecEngine engine : {ExecEngine::Soa, ExecEngine::Interpreter}) {
     const GrainRun base = run_grain_passes(1, engine);
@@ -289,6 +408,73 @@ TEST(Device, ResultsIndependentOfWorkerThreads) {
         // Cache statistics are per *logical pipe*, so they match too.
         expect_same_pass(run.stats[p], base.stats[p]);
       }
+    }
+  }
+
+  // Row slices per runner against pipe slices, on both engines, against
+  // the interpreter on one runner.
+  for (bool cache : {true, false}) {
+    for (int height : {1, 3, 17, 33}) {
+      const SlicedRun base =
+          run_slice_passes(1, ExecEngine::Interpreter, cache, height);
+      for (ExecEngine engine : {ExecEngine::Soa, ExecEngine::Interpreter}) {
+        for (std::size_t threads : {1, 2, 3, 4, 7}) {
+          SCOPED_TRACE(testing::Message()
+                       << exec_engine_name(engine) << ", cache " << cache
+                       << ", height " << height << ", " << threads
+                       << " worker threads");
+          const SlicedRun run = run_slice_passes(threads, engine, cache, height);
+          ASSERT_EQ(run.stats.size(), base.stats.size());
+          for (std::size_t p = 0; p < base.stats.size(); ++p) {
+            EXPECT_EQ(run.images[p], base.images[p]) << "pass " << p;
+            expect_same_pass(run.stats[p], base.stats[p]);
+          }
+#if HS_TRACE_ENABLED
+          ASSERT_EQ(run.spans.size(), base.stats.size());
+          for (std::size_t p = 0; p < run.spans.size(); ++p) {
+            const SliceArgs& span = run.spans[p];
+            SCOPED_TRACE(testing::Message() << "pass " << p);
+            EXPECT_GE(span.runners, 1);
+            EXPECT_LE(span.runners, static_cast<double>(threads));
+            // The fragment-list pass (4) always runs per pipe.
+            const bool replays = span.replay == "full" || p == 4;
+            EXPECT_EQ(span.slices, replays ? 24.0 : span.runners);
+          }
+          // The SoA engine serves the redraw over new texels from its memo.
+          const bool memo_hit = cache && engine == ExecEngine::Soa;
+          EXPECT_EQ(run.spans[3].replay, memo_hit ? "memo" : cache ? "full" : "");
+          // One row of heavy_static already takes two runners.
+          if (threads > 1) {
+            EXPECT_GE(run.spans[2].runners, 2);
+          }
+#endif
+        }
+      }
+    }
+  }
+}
+
+TEST(Device, ReplayingPassSlicesAlignToCacheTiles) {
+  // A replaying pass gives each pipe whole 4-row tile rows, so no cache
+  // tile is fetched into two pipes' caches. On a 16-texel-wide viewport a
+  // tile row is 4 tiles, which a 4-way set holds whatever their sets, so
+  // every miss is the one compulsory fetch of its tile: the miss bytes
+  // equal the unique-tile bytes.
+  for (ExecEngine engine : {ExecEngine::Soa, ExecEngine::Interpreter}) {
+    for (int height : {3, 17, 33}) {
+      SCOPED_TRACE(testing::Message()
+                   << exec_engine_name(engine) << ", height " << height);
+      SimConfig cfg;
+      cfg.exec_engine = engine;
+      Device dev(geforce_7800_gtx(), cfg);
+      const TextureHandle in = dev.create_texture(16, height, TextureFormat::RGBA32F);
+      const TextureHandle out = dev.create_texture(16, height, TextureFormat::RGBA32F);
+      const TextureHandle ins[1] = {in};
+      const TextureHandle outs[1] = {out};
+      const PassStats stats = dev.draw(light_program(), ins, {}, outs);
+      EXPECT_EQ(stats.cache.misses,
+                static_cast<std::uint64_t>(4 * ((height + 3) / 4)));
+      EXPECT_EQ(stats.cache_miss_bytes, stats.unique_tile_bytes);
     }
   }
 }

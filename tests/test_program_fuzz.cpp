@@ -629,10 +629,12 @@ struct MemoRig {
   EnginePair pair{3};
   Device* devs[2] = {&pair.interp, &pair.soa};
 
-  TextureHandle texture(int w, int h) {
+  TextureHandle texture(int w, int h,
+                        TextureFormat format = TextureFormat::RGBA32F,
+                        AddressMode address = AddressMode::ClampToEdge) {
     TextureHandle handle = 0;
     for (Device* dev : devs) {
-      handle = dev->create_texture(w, h, TextureFormat::RGBA32F);
+      handle = dev->create_texture(w, h, format, address);
     }
     fill(handle, 0);
     return handle;
@@ -655,8 +657,8 @@ struct MemoRig {
   /// Draws on both devices and checks them against each other; returns
   /// the SoA device's stats.
   PassStats draw(const FragmentProgram& p, std::vector<TextureHandle> ins,
-                 TextureHandle out) {
-    const float4 constants[1] = {{1, 0, 0, 0}};
+                 TextureHandle out,
+                 std::vector<float4> constants = {{1, 0, 0, 0}}) {
     const TextureHandle outs[1] = {out};
     PassStats stats[2];
     for (int d = 0; d < 2; ++d) {
@@ -729,6 +731,122 @@ TEST(ReplayMemo, ViewportChangeMisses) {
   EXPECT_EQ(rig.pair.soa.program_cache().misses(), 1u);
   EXPECT_EQ(rig.pair.soa.replay_memo_misses(), 2u);
   EXPECT_EQ(rig.pair.soa.replay_memo_hits(), 1u);
+}
+
+/// Four fetches of every plan kind: static reads of unit 0 at c[0] and of
+/// unit 1 at the centre and at -c[0], and a uniform read of unit 0 at
+/// c[2]. c[1] feeds only ALU.
+constexpr const char* kPatternSource =
+    "!!HSFP1.0\n"
+    "ADD R0, fragment.texcoord[0], c[0];\n"
+    "TEX R1, R0, texture[%A];\n"
+    "TEX R2, fragment.texcoord[0], texture[%B];\n"
+    "SUB R3, fragment.texcoord[0], c[0];\n"
+    "TEX R4, R3, texture[1];\n"
+    "TEX R6, %U, texture[0];\n"
+    "ADD R5, R1, R2;\n"
+    "ADD R5, R5, R4;\n"
+    "ADD R5, R5, R6;\n"
+    "MUL result.color, R5, c[1];\n"
+    "END\n";
+
+/// kPatternSource with its first two units and the uniform read's
+/// coordinate filled in.
+FragmentProgram memo_pattern(const char* unit_a = "0", const char* unit_b = "1",
+                             const char* uniform = "c[2]") {
+  std::string src = kPatternSource;
+  for (const auto& [hole, text] :
+       {std::pair{"%A", unit_a}, {"%B", unit_b}, {"%U", uniform}}) {
+    src.replace(src.find(hole), 2, text);
+  }
+  return assemble_or_die("memo_pattern", src);
+}
+
+TEST(ReplayMemo, ProgramsWithOneFetchPatternShareOneReplay) {
+  MemoRig rig;
+  const TextureHandle a = rig.texture(40, 24);
+  const TextureHandle b = rig.texture(40, 24);
+  const TextureHandle out = rig.texture(40, 24);
+  const FragmentProgram p = memo_pattern();
+  // Draws on both engines (checked against each other) and says whether
+  // the SoA device took its cache totals from the memo.
+  const auto hits = [&](const FragmentProgram& prog,
+                        std::vector<TextureHandle> ins, TextureHandle target,
+                        std::vector<float4> constants) {
+    const std::uint64_t before = rig.pair.soa.replay_memo_hits();
+    rig.draw(prog, std::move(ins), target, std::move(constants));
+    return rig.pair.soa.replay_memo_hits() == before + 1;
+  };
+  const float4 offset{1, 0, 0, 0};
+  const float4 scale{2, 2, 2, 2};
+  const float4 centre{5.5f, 3.5f, 0, 0};
+  EXPECT_FALSE(hits(p, {a, b}, out, {offset, scale, centre}));
+  // Another constant feeding only ALU: a new lowered program with the
+  // same fetch pattern shares the record.
+  EXPECT_TRUE(hits(p, {a, b}, out, {offset, {0.5f, -1, 3, 1}, centre}));
+  EXPECT_EQ(rig.pair.soa.program_cache().misses(), 2u);
+
+  // Each of these changes one thing the replay reads.
+  EXPECT_FALSE(hits(p, {a, b}, out, {{2, 0, 0, 0}, scale, centre}));  // dx
+  EXPECT_FALSE(hits(p, {a, b}, out, {{1, -1, 0, 0}, scale, centre}));  // dy
+  EXPECT_FALSE(hits(p, {a, b}, out, {offset, scale, {2.5f, 3.5f, 0, 0}}));  // ux
+  EXPECT_FALSE(hits(p, {a, b}, out, {offset, scale, {5.5f, 1.5f, 0, 0}}));  // uy
+  EXPECT_FALSE(hits(memo_pattern("1", "0"), {a, b}, out,
+                    {offset, scale, centre}));  // units of two slots
+  // A uniform read at (0, 0) against a static read at offset (0, 0).
+  EXPECT_FALSE(hits(p, {a, b}, out, {offset, scale, {0, 0, 0, 0}}));
+  EXPECT_FALSE(hits(memo_pattern("0", "1", "fragment.texcoord[0]"), {a, b},
+                    out, {offset, scale, centre}));  // plan mode
+  const TextureHandle half = rig.texture(40, 24, TextureFormat::RGBA16F);
+  EXPECT_FALSE(hits(p, {half, b}, out, {offset, scale, centre}));  // format
+  const TextureHandle wider = rig.texture(41, 24);
+  EXPECT_FALSE(hits(p, {wider, b}, out, {offset, scale, centre}));  // width
+  const TextureHandle taller = rig.texture(40, 25);
+  EXPECT_FALSE(hits(p, {a, taller}, out, {offset, scale, centre}));  // height
+  const TextureHandle repeat = rig.texture(40, 24, TextureFormat::RGBA32F,
+                                           AddressMode::Repeat);
+  EXPECT_FALSE(hits(p, {repeat, b}, out, {offset, scale, centre}));  // address
+  EXPECT_FALSE(hits(p, {a, a}, out, {offset, scale, centre}));  // alias
+  const TextureHandle narrow = rig.texture(39, 24);
+  EXPECT_FALSE(hits(p, {a, b}, narrow, {offset, scale, centre}));  // viewport
+  const TextureHandle shorter = rig.texture(40, 23);
+  EXPECT_FALSE(hits(p, {a, b}, shorter, {offset, scale, centre}));  // viewport
+
+  // A Dynamic fetch's coordinate comes from ALU, so constants that feed
+  // it are part of the key: the lowered program is.
+  const FragmentProgram dependent = assemble_or_die(
+      "memo_scaled_dependent",
+      "!!HSFP1.0\n"
+      "TEX R0, fragment.texcoord[0], texture[1];\n"
+      "MAD R1, R0, c[0], fragment.texcoord[0];\n"
+      "TEX R2, R1, texture[0];\n"
+      "MOV result.color, R2;\n"
+      "END\n");
+  EXPECT_FALSE(hits(dependent, {a, b}, out, {{1, 1, 0, 0}}));
+  EXPECT_TRUE(hits(dependent, {a, b}, out, {{1, 1, 0, 0}}));
+  EXPECT_FALSE(hits(dependent, {a, b}, out, {{2, 1, 0, 0}}));
+}
+
+TEST(ReplayMemo, DeviceMemoIsBounded) {
+  MemoRig rig;
+  const TextureHandle a = rig.texture(8, 8);
+  const TextureHandle b = rig.texture(8, 8);
+  const FragmentProgram p = memo_neighbors();
+  // One viewport per record, plus one: the first record goes.
+  constexpr std::size_t kMax = ReplayMemo::kMaxRecords;
+  std::vector<TextureHandle> outs;
+  for (std::size_t i = 0; i <= kMax; ++i) {
+    outs.push_back(rig.texture(2, static_cast<int>(i) + 1));
+    rig.draw(p, {a, b}, outs.back());
+  }
+  const Device& soa = rig.pair.soa;
+  EXPECT_EQ(soa.replay_memo().size(), kMax);
+  EXPECT_EQ(soa.replay_memo_misses(), kMax + 1);
+  rig.draw(p, {a, b}, outs[1]);  // the oldest record left
+  EXPECT_EQ(soa.replay_memo_hits(), 1u);
+  rig.draw(p, {a, b}, outs[0]);  // evicted: replays again
+  EXPECT_EQ(soa.replay_memo_misses(), kMax + 2);
+  EXPECT_EQ(soa.replay_memo().size(), kMax);
 }
 
 /// MEI's shape: the second fetch's coordinate comes from a fetched texel

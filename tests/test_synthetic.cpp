@@ -213,6 +213,9 @@ TEST(SyntheticScene, CubeHashIsPinned) {
       {64, 56, 24, 1, 5, 0xc0066f9ed918f580ull},
       {37, 45, 48, 2, 9, 0xce0245ecf10b73b8ull},
       {96, 80, 64, 2, 3, 0xa00fe67612e37b41ull},
+      // The amc_scene and serve_miss job shapes.
+      {128, 128, 64, 1, 21, 0x076b9bd0dbaebd6aull},
+      {48, 48, 16, 1, 13, 0x5e79f0bf1368d124ull},
   };
   for (const Case& c : cases) {
     SceneConfig cfg;

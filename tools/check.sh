@@ -14,12 +14,16 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Parallel jobs for every build and ctest run: a bare -j would start as
+# many compilers as there are targets.
+JOBS="$(nproc)"
+
 run_config() {
   local dir="$1"
   shift
   cmake -B "$dir" -S . "$@"
-  cmake --build "$dir" -j
-  ctest --test-dir "$dir" --output-on-failure -j "${CTEST_ARGS[@]}"
+  cmake --build "$dir" -j "$JOBS"
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" "${CTEST_ARGS[@]}"
 }
 
 # Runs hsi-profile from the given build dir on a small synthetic scene and
@@ -245,7 +249,7 @@ run_config build-sanitize -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # The socket battery again, explicitly by label: an fd or buffer bug in
 # the front door must fail fast under ASan/UBSan even when extra ctest
 # args filtered the net tests out of the run above.
-ctest --test-dir build-sanitize --output-on-failure -L 'net|slow' -j
+ctest --test-dir build-sanitize --output-on-failure -L 'net|slow' -j "$JOBS"
 
 echo "==> SoA engine (two-way fuzz oracle + parallel determinism, ASan/UBSan)"
 # The fuzz oracle diffs interpreter vs soa bit for bit on randomized
@@ -254,12 +258,14 @@ echo "==> SoA engine (two-way fuzz oracle + parallel determinism, ASan/UBSan)"
 # ParallelPipeline.Soa* tests pin the SoA engine to the
 # sequential interpreter across worker counts {1,2,4,7}; the Device tests
 # drive one device's pipe runners at {1,2,3,4,7} on both sides of the
-# dispatch grain; the BandStack tests cover the strided band upload.
+# dispatch grain, in pipe slices and in runner slices; the BandStack tests
+# cover the strided band upload; the Xoshiro256 and SyntheticScene tests
+# cover the batched normal draws, which fill fixed-size stack arrays.
 # Re-run them by name under ASan/UBSan so an out-of-bounds lane loop, a
-# stale plane read or a bad stride fails fast even when extra ctest args
-# filtered them out of the main sanitizer pass.
+# stale plane read, a bad stride or a batch overrun fails fast even when
+# extra ctest args filtered them out of the main sanitizer pass.
 ctest --test-dir build-sanitize --output-on-failure \
-  -R 'ProgramFuzz|ReplayMemo|SoaStaticFusion|ParallelPipeline\.Soa|Device\.|BandStack' -j
+  -R 'ProgramFuzz|ReplayMemo|SoaStaticFusion|ParallelPipeline\.Soa|Device\.|BandStack|Xoshiro256|SyntheticScene' -j "$JOBS"
 
 echo "==> ThreadSanitizer (concurrency suite)"
 # TSan slows execution ~10x, so run the tests that exercise real
@@ -275,13 +281,13 @@ echo "==> ThreadSanitizer (concurrency suite)"
 # battery (event loop vs serve worker hooks, concurrent socket clients).
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHS_SANITIZE=thread
-cmake --build build-tsan -j
+cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure \
   -R 'Device\.|BandStack|ParallelPipeline|ChunkScheduler|ProgramFuzz|ReplayMemo|SoaStaticFusion|Serve|Cache|ThreadPool|TaskGroup|StreamExecutor|Trace\.|Histogram|FlightRecorder|Timeline|Net' \
-  -j "${CTEST_ARGS[@]}"
+  -j "$JOBS" "${CTEST_ARGS[@]}"
 # The sharded tier under TSan: the router's event-loop thread vs
 # submit/wait/kill callers, with real worker processes behind it.
-ctest --test-dir build-tsan --output-on-failure -L shard -j
+ctest --test-dir build-tsan --output-on-failure -L shard -j "$JOBS"
 
 echo "==> Tracing compiled out (HS_TRACE=OFF)"
 run_config build-notrace -DCMAKE_BUILD_TYPE=Release -DHS_TRACE=OFF
