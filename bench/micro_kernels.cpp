@@ -28,7 +28,6 @@
 #include "gpusim/assembler.hpp"
 #include "gpusim/gpu_device.hpp"
 #include "gpusim/interpreter.hpp"
-#include "gpusim/raster.hpp"
 #include "linalg/eigen.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -200,23 +199,6 @@ void BM_RxDetect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32 * 32);
 }
 BENCHMARK(BM_RxDetect);
-
-void BM_RasterFullscreenQuad(benchmark::State& state) {
-  gpusim::DeviceProfile profile = gpusim::geforce_7800_gtx();
-  profile.fragment_pipes = 4;
-  gpusim::Device dev(profile);
-  const auto out = dev.create_texture(64, 64, gpusim::TextureFormat::R32F);
-  const auto program = gpusim::assemble_or_die(
-      "one", "!!HSFP1.0\nMOV result.color, {1.0};\nEND\n");
-  const auto quad = gpusim::fullscreen_quad(64, 64);
-  const gpusim::TextureHandle outs[1] = {out};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gpusim::draw_triangles(
-        dev, program, quad, gpusim::Viewport{0, 0, 64, 64}, {}, {}, outs));
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * 64);
-}
-BENCHMARK(BM_RasterFullscreenQuad);
 
 void BM_HalfQuantize(benchmark::State& state) {
   float v = 0.123456f;

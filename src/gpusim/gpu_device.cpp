@@ -305,9 +305,8 @@ constexpr int kTrackerTile = 4;
 
 std::vector<TileTouchTracker> Device::make_tile_trackers(
     const BoundPass& bound) const {
-  std::vector<TileTouchTracker> pipe_tiles;
-  if (!config_.texture_cache) return pipe_tiles;
-  pipe_tiles.resize(static_cast<std::size_t>(profile_.fragment_pipes));
+  std::vector<TileTouchTracker> pipe_tiles(
+      static_cast<std::size_t>(profile_.fragment_pipes));
   for (auto& tracker : pipe_tiles) {
     tracker.tile_size = kTrackerTile;
     tracker.units.resize(bound.inputs.size());
@@ -339,7 +338,6 @@ SoaBindings Device::soa_bindings(const BoundPass& bound, std::size_t pipe,
 PassCacheTotals Device::collect_cache_totals(
     const BoundPass& bound, std::span<const TileTouchTracker> pipe_tiles) {
   PassCacheTotals totals;
-  if (!config_.texture_cache) return totals;
   const int pipes = profile_.fragment_pipes;
   for (TextureCache& cache : pipe_caches_) {
     totals.cache += cache.stats();
@@ -349,22 +347,20 @@ PassCacheTotals Device::collect_cache_totals(
 
   // Merge the per-pipe tile bitmaps: a tile streams from DRAM once per pass
   // no matter how many pipes touched it.
-  if (!pipe_tiles.empty()) {
-    for (std::size_t u = 0; u < bound.inputs.size(); ++u) {
-      const std::uint64_t tile_bytes =
-          static_cast<std::uint64_t>(kTrackerTile) * kTrackerTile *
-          bytes_per_texel(bound.inputs[u]->format());
-      // OR the bitmaps one pipe at a time (contiguous byte streams the
-      // compiler vectorizes) instead of probing every pipe per tile.
-      std::vector<std::uint8_t> merged = pipe_tiles.front().units[u];
-      for (int p = 1; p < pipes; ++p) {
-        const auto& bits = pipe_tiles[static_cast<std::size_t>(p)].units[u];
-        for (std::size_t i = 0; i < merged.size(); ++i) merged[i] |= bits[i];
-      }
-      const std::uint64_t touched = static_cast<std::uint64_t>(
-          std::count(merged.begin(), merged.end(), std::uint8_t{1}));
-      totals.unique_tile_bytes += touched * tile_bytes;
+  for (std::size_t u = 0; u < bound.inputs.size(); ++u) {
+    const std::uint64_t tile_bytes =
+        static_cast<std::uint64_t>(kTrackerTile) * kTrackerTile *
+        bytes_per_texel(bound.inputs[u]->format());
+    // OR the bitmaps one pipe at a time (contiguous byte streams the
+    // compiler vectorizes) instead of probing every pipe per tile.
+    std::vector<std::uint8_t> merged = pipe_tiles.front().units[u];
+    for (int p = 1; p < pipes; ++p) {
+      const auto& bits = pipe_tiles[static_cast<std::size_t>(p)].units[u];
+      for (std::size_t i = 0; i < merged.size(); ++i) merged[i] |= bits[i];
     }
+    const std::uint64_t touched = static_cast<std::uint64_t>(
+        std::count(merged.begin(), merged.end(), std::uint8_t{1}));
+    totals.unique_tile_bytes += touched * tile_bytes;
   }
   return totals;
 }
@@ -558,93 +554,6 @@ PassStats Device::draw(const FragmentProgram& program,
   if (config_.texture_cache) replay = memoized != nullptr ? "memo" : "full";
   annotate_pass_span(span, stats, replay, runners, slices);
   annotate_engine_path(span, soa.get(), bound.inputs, plans_exact);
-  return stats;
-}
-
-PassStats Device::draw_fragments(const FragmentProgram& program,
-                                 std::span<const GeomFragment> fragments,
-                                 std::span<const TextureHandle> inputs,
-                                 std::span<const float4> constants,
-                                 std::span<const TextureHandle> outputs) {
-  trace::Span span(program.name, "pass");
-  const BoundPass bound = bind_pass(program, inputs, constants, outputs);
-  const int pipes = profile_.fragment_pipes;
-
-  std::vector<ExecCounters> pipe_counters(static_cast<std::size_t>(pipes));
-  std::vector<TileTouchTracker> pipe_tiles = make_tile_trackers(bound);
-  for (auto& cache : pipe_caches_) cache.flush();
-
-  std::shared_ptr<const SoaProgram> soa;
-  if (config_.exec_engine == ExecEngine::Soa) {
-    soa = program_cache_.get(program, constants, bound.inputs);
-  }
-
-  // Contiguous fragment ranges per logical pipe: raster order preserves
-  // the triangles' spatial locality, and the partition is deterministic.
-  const std::size_t n = fragments.size();
-  auto run_pipe = [&](std::size_t pipe) {
-    const std::size_t begin = pipe * n / static_cast<std::size_t>(pipes);
-    const std::size_t end = (pipe + 1) * n / static_cast<std::size_t>(pipes);
-    if (soa != nullptr) {
-      run_soa_fragments(*soa, soa_bindings(bound, pipe, pipe_tiles),
-                        fragments.subspan(begin, end - begin),
-                        pipe_counters[pipe]);
-      return;
-    }
-    FragmentContext ctx;
-    ctx.constants = constants;
-    ctx.textures = bound.inputs;
-    ctx.texture_ids = bound.input_ids;
-    ctx.cache = config_.texture_cache ? &pipe_caches_[pipe] : nullptr;
-    ctx.tiles = config_.texture_cache ? &pipe_tiles[pipe] : nullptr;
-    ExecCounters& counters = pipe_counters[pipe];
-    for (std::size_t i = begin; i < end; ++i) {
-      const GeomFragment& f = fragments[i];
-      HS_DEBUG_ASSERT(f.x >= 0 && f.x < bound.width && f.y >= 0 &&
-                      f.y < bound.height);
-      ctx.texcoord[0] = f.texcoord0;
-      ctx.texcoord[1] = f.texcoord1;
-      const FragmentResult r = execute_fragment(program, ctx, counters);
-      for (std::size_t k = 0; k < bound.targets.size(); ++k) {
-        if (r.outputs_written & (1u << k)) {
-          bound.targets[k]->store(f.x, f.y, r.color[k]);
-        }
-      }
-    }
-  };
-
-  // A fragment list may hit the same texel more than once (overlapping
-  // triangles); hardware ROPs apply such writes in primitive order, but
-  // the concurrent pipe partition would race on the texel. When any texel
-  // repeats, execute the partitions serially in pipe order instead (one
-  // runner): partitions are contiguous and ascending, so stores land in
-  // global fragment order -- deterministic, race-free, and identical to
-  // what the pipes would produce with ordered ROPs. Counters, cache
-  // statistics and modeled time are unaffected either way (keyed by
-  // logical pipe, not by OS thread).
-  std::size_t runners = pass_runners(program, n);
-  if (runners > 1) {
-    std::vector<std::uint8_t> hit(
-        static_cast<std::size_t>(bound.width) *
-        static_cast<std::size_t>(bound.height), 0);
-    for (const GeomFragment& f : fragments) {
-      std::uint8_t& cell = hit[static_cast<std::size_t>(f.y) *
-                                   static_cast<std::size_t>(bound.width) +
-                               static_cast<std::size_t>(f.x)];
-      if (cell != 0) {
-        runners = 1;
-        break;
-      }
-      cell = 1;
-    }
-  }
-  run_slices(static_cast<std::size_t>(pipes), runners, run_pipe);
-
-  const PassStats stats = finalize_pass(
-      program, bound, n, pipe_counters, collect_cache_totals(bound, pipe_tiles));
-  annotate_pass_span(span, stats, config_.texture_cache ? "full" : nullptr,
-                     runners, static_cast<std::size_t>(pipes));
-  annotate_engine_path(span, soa.get(), bound.inputs, false);
   return stats;
 }
 

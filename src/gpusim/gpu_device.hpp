@@ -75,7 +75,7 @@ struct SimConfig {
   bool texture_cache = true;
   /// Enforce the profile's video-memory capacity on texture creation.
   bool enforce_memory_limit = true;
-  /// Engine used by draw()/draw_fragments().
+  /// Engine used by draw().
   ExecEngine exec_engine = ExecEngine::Soa;
   /// Entries in the device's lowered-program LRU cache (clamped to >= 1).
   /// Size it to the working set of distinct (program, constants,
@@ -220,18 +220,6 @@ class Device {
                  std::span<const float4> constants,
                  std::span<const TextureHandle> outputs);
 
-  /// A rasterized fragment for geometry passes (see gpusim/raster.hpp).
-  using GeomFragment = gpusim::GeomFragment;
-
-  /// Executes one pass over an explicit fragment list (produced by a
-  /// rasterizer) instead of the full viewport. Fragments must lie inside
-  /// the render target(s); all other rules match draw().
-  PassStats draw_fragments(const FragmentProgram& program,
-                           std::span<const GeomFragment> fragments,
-                           std::span<const TextureHandle> inputs,
-                           std::span<const float4> constants,
-                           std::span<const TextureHandle> outputs);
-
   const DeviceTotals& totals() const { return totals_; }
   void reset_totals() { totals_ = {}; }
 
@@ -263,7 +251,7 @@ class Device {
     std::uint64_t generation = 0;  ///< renewed on every write
   };
 
-  /// Validated bindings shared by the two draw paths.
+  /// A pass's validated bindings.
   struct BoundPass {
     int width = 0;
     int height = 0;

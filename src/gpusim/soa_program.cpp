@@ -1288,14 +1288,14 @@ void soa_tex_dynamic(const CompiledIns& ci, TileCtx& t, bool skip_store) {
 }
 
 void soa_tex(const CompiledIns& ci, const SoaProgram& sp, TileCtx& t,
-             bool fullscreen) {
+             bool static_plans) {
   const auto slot = static_cast<std::size_t>(ci.tex_slot);
   t.rt[slot].kind = SlotRT::kNone;
   const SoaFetchPlan& plan = sp.fetch[slot];
   const bool skip_store = t.fuse_active && sp.fetch_store_skip[slot] != 0;
-  if (fullscreen && plan.mode == SoaFetchPlan::Mode::Static) {
+  if (static_plans && plan.mode == SoaFetchPlan::Mode::Static) {
     soa_tex_static(ci, plan, t, skip_store);
-  } else if (fullscreen && plan.mode == SoaFetchPlan::Mode::Uniform) {
+  } else if (static_plans && plan.mode == SoaFetchPlan::Mode::Uniform) {
     soa_tex_uniform(ci, plan, t);
   } else {
     soa_tex_dynamic(ci, t, skip_store);
@@ -1383,13 +1383,6 @@ void soa_store_rows(const CompiledProgram& cp, const SoaBindings& b,
   }
 }
 
-void add_analytic_counters(const CompiledProgram& cp, std::uint64_t fragments,
-                           ExecCounters& counters) {
-  counters.alu_instructions += fragments * cp.alu_per_fragment;
-  counters.tex_fetches += fragments * cp.tex_per_fragment;
-  counters.tex_fetch_bytes += fragments * cp.tex_bytes_per_fragment;
-}
-
 /// Hoists the tile-invariant slot state for one pass slice.
 std::vector<SlotInfo> make_slot_infos(const CompiledProgram& cp,
                                       const SoaBindings& b) {
@@ -1410,72 +1403,6 @@ std::vector<SlotInfo> make_slot_infos(const CompiledProgram& cp,
   return infos;
 }
 
-/// One pipe's pass slice: the scratch, the hoisted slot state and the
-/// replay session, shared by run_soa_rows() and run_soa_fragments(). Not
-/// movable: `t` points into the other members.
-struct SliceRun {
-  const SoaProgram& sp;
-  SoaScratch sc;
-  std::vector<SlotInfo> infos;
-  std::vector<SlotRT> rts;
-  TileCtx t;
-  std::optional<ReplayState> replay;
-
-  SliceRun(const SoaProgram& program, const SoaBindings& b) : sp(program) {
-    // The arithmetic tag recipes shift by log2 of the cache tile, and the
-    // tile-touch marks by 2. Device always builds the default 4x4 cache
-    // tile (TextureCacheConfig) and 4x4 tracker tiles (kTrackerTile).
-    HS_ASSERT_MSG(b.cache == nullptr || b.cache->tile_shift() >= 0,
-                  "SoA executor needs a power-of-two cache tile");
-    HS_ASSERT_MSG(b.tiles == nullptr || b.tiles->tile_size == 4,
-                  "SoA executor needs 4x4 tile-touch tracker tiles");
-    sc.init(sp);
-    infos = make_slot_infos(*sp.compiled, b);
-    rts.resize(infos.size());
-    t.b = &b;
-    t.sc = &sc;
-    t.info = infos.data();
-    t.rt = rts.data();
-    t.want_tags = b.cache != nullptr;
-    t.ts = t.want_tags ? b.cache->tile_shift() : 0;
-    t.fuse_active = fusions_active(sp, b.textures);
-    if (t.want_tags) replay.emplace(*b.cache, infos.size());
-  }
-  SliceRun(const SliceRun&) = delete;
-  SliceRun& operator=(const SliceRun&) = delete;
-
-  /// Runs the program over the current tile, whose texcoord rows are set.
-  /// `fullscreen` enables the static/uniform fetch plans and skips the
-  /// coordinate ALU they make dead; otherwise every instruction executes
-  /// and every fetch is dynamic.
-  void exec(bool fullscreen) {
-    const CompiledProgram& cp = *sp.compiled;
-    for (std::size_t i = 0; i < cp.code.size(); ++i) {
-      if (fullscreen && !sp.live_fullscreen[i]) continue;
-      if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
-      const CompiledIns& ci = cp.code[i];
-      if (ci.op == Opcode::TEX) {
-        soa_tex(ci, sp, t, fullscreen);
-      } else if (t.fuse_active && sp.dot_of[i] >= 0) {
-        exec_fused_dot(
-            ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])], t);
-      } else if (t.fuse_active && sp.fuse_of[i] >= 0) {
-        exec_fused_tex(
-            ci, sp.fused[static_cast<std::size_t>(sp.fuse_of[i])], t);
-      } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
-                 ci.op == Opcode::DP4) {
-        exec_scalar_or_dot(ci, sc, t.lanes);
-      } else {
-        exec_componentwise(ci, sc, t.lanes);
-      }
-    }
-  }
-
-  void replay_tile() {
-    if (t.want_tags) soa_replay(*sp.compiled, t, *replay);
-  }
-};
-
 }  // namespace
 
 std::size_t soa_active_fusions(const SoaProgram& sp,
@@ -1490,26 +1417,48 @@ bool soa_static_plans_exact(const SoaProgram& sp, int width, int rows) {
          kMaxExactCoord;
 }
 
-void run_soa_rows(const SoaProgram& sp, const SoaBindings& bindings,
-                  int width, int y_begin, int y_end, ExecCounters& counters) {
+void run_soa_rows(const SoaProgram& sp, const SoaBindings& b, int width,
+                  int y_begin, int y_end, ExecCounters& counters) {
   if (width <= 0 || y_begin >= y_end) return;
   const CompiledProgram& cp = *sp.compiled;
-  SliceRun run(sp, bindings);
-  // A viewport reaching past the exactness bound runs the pass
-  // all-dynamic, exactly like a geometry pass: same results, only slower.
-  const bool fullscreen = soa_static_plans_exact(sp, width, y_end);
+  // The arithmetic tag recipes shift by log2 of the cache tile, and the
+  // tile-touch marks by 2. Device always builds the default 4x4 cache
+  // tile (TextureCacheConfig) and 4x4 tracker tiles (kTrackerTile).
+  HS_ASSERT_MSG(b.cache == nullptr || b.cache->tile_shift() >= 0,
+                "SoA executor needs a power-of-two cache tile");
+  HS_ASSERT_MSG(b.tiles == nullptr || b.tiles->tile_size == 4,
+                "SoA executor needs 4x4 tile-touch tracker tiles");
+  SoaScratch sc;
+  sc.init(sp);
+  const std::vector<SlotInfo> infos = make_slot_infos(cp, b);
+  std::vector<SlotRT> rts(infos.size());
+  TileCtx t;
+  t.b = &b;
+  t.sc = &sc;
+  t.info = infos.data();
+  t.rt = rts.data();
+  t.want_tags = b.cache != nullptr;
+  t.ts = t.want_tags ? b.cache->tile_shift() : 0;
+  t.fuse_active = fusions_active(sp, b.textures);
+  std::optional<ReplayState> replay;
+  if (t.want_tags) replay.emplace(*b.cache, infos.size());
+  // Inside the exactness bound the static/uniform fetch plans apply and
+  // the coordinate ALU they make dead is skipped. A viewport reaching past
+  // it runs the pass all-dynamic: every instruction executes and every
+  // fetch resolves per lane -- same results, only slower.
+  const bool static_plans = soa_static_plans_exact(sp, width, y_end);
   const bool uses_tc0 = (cp.texcoords_used & 1u) != 0;
   for (int y = y_begin; y < y_end; ++y) {
     for (int x0 = 0; x0 < width; x0 += kTile) {
       const int lanes = std::min(kTile, width - x0);
-      run.t.lanes = lanes;
-      run.t.x0 = x0;
-      run.t.y = y;
+      t.lanes = lanes;
+      t.x0 = x0;
+      t.y = y;
       if (uses_tc0) {
-        float* t0 = run.sc.tc_row(0, 0);
-        float* t1 = run.sc.tc_row(0, 1);
-        float* t2 = run.sc.tc_row(0, 2);
-        float* t3 = run.sc.tc_row(0, 3);
+        float* t0 = sc.tc_row(0, 0);
+        float* t1 = sc.tc_row(0, 1);
+        float* t2 = sc.tc_row(0, 2);
+        float* t3 = sc.tc_row(0, 3);
         HS_SOA_SIMD
         for (int l = 0; l < lanes; ++l) {
           t0[l] = static_cast<float>(x0 + l) + 0.5f;
@@ -1518,57 +1467,34 @@ void run_soa_rows(const SoaProgram& sp, const SoaBindings& bindings,
           t3[l] = 1.f;
         }
       }
-      run.exec(fullscreen);
-      soa_store_rows(cp, bindings, run.sc, lanes, x0, y);
-      run.replay_tile();
-    }
-  }
-  add_analytic_counters(
-      cp,
-      static_cast<std::uint64_t>(y_end - y_begin) *
-          static_cast<std::uint64_t>(width),
-      counters);
-}
-
-void run_soa_fragments(const SoaProgram& sp, const SoaBindings& bindings,
-                       std::span<const GeomFragment> fragments,
-                       ExecCounters& counters) {
-  if (fragments.empty()) return;
-  const CompiledProgram& cp = *sp.compiled;
-  SliceRun run(sp, bindings);
-  for (std::size_t begin = 0; begin < fragments.size(); begin += kTile) {
-    const int lanes = static_cast<int>(
-        std::min<std::size_t>(kTile, fragments.size() - begin));
-    run.t.lanes = lanes;
-    for (int attr = 0; attr < 2; ++attr) {
-      if (!(cp.texcoords_used & (1u << attr))) continue;
-      for (int c = 0; c < 4; ++c) {
-        float* row = run.sc.tc_row(attr, c);
-        for (int l = 0; l < lanes; ++l) {
-          const GeomFragment& f =
-              fragments[begin + static_cast<std::size_t>(l)];
-          row[l] = attr == 0 ? f.texcoord0[static_cast<std::size_t>(c)]
-                             : f.texcoord1[static_cast<std::size_t>(c)];
+      for (std::size_t i = 0; i < cp.code.size(); ++i) {
+        if (static_plans && !sp.live_fullscreen[i]) continue;
+        if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
+        const CompiledIns& ci = cp.code[i];
+        if (ci.op == Opcode::TEX) {
+          soa_tex(ci, sp, t, static_plans);
+        } else if (t.fuse_active && sp.dot_of[i] >= 0) {
+          exec_fused_dot(
+              ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])], t);
+        } else if (t.fuse_active && sp.fuse_of[i] >= 0) {
+          exec_fused_tex(
+              ci, sp.fused[static_cast<std::size_t>(sp.fuse_of[i])], t);
+        } else if (opcode_is_scalar(ci.op) || ci.op == Opcode::DP3 ||
+                   ci.op == Opcode::DP4) {
+          exec_scalar_or_dot(ci, sc, lanes);
+        } else {
+          exec_componentwise(ci, sc, lanes);
         }
       }
+      soa_store_rows(cp, b, sc, lanes, x0, y);
+      if (t.want_tags) soa_replay(cp, t, *replay);
     }
-    // The static/uniform plans assume fullscreen texcoords.
-    run.exec(/*fullscreen=*/false);
-    for (int k = 0; k < kMaxOutputs; ++k) {
-      if (!(cp.outputs_written & (1u << k))) continue;
-      Texture2D* target = bindings.targets[static_cast<std::size_t>(k)];
-      const float* r0 = run.sc.out_row(k, 0);
-      const float* r1 = run.sc.out_row(k, 1);
-      const float* r2 = run.sc.out_row(k, 2);
-      const float* r3 = run.sc.out_row(k, 3);
-      for (int l = 0; l < lanes; ++l) {
-        const GeomFragment& f = fragments[begin + static_cast<std::size_t>(l)];
-        target->store(f.x, f.y, {r0[l], r1[l], r2[l], r3[l]});
-      }
-    }
-    run.replay_tile();
   }
-  add_analytic_counters(cp, fragments.size(), counters);
+  const std::uint64_t fragments = static_cast<std::uint64_t>(y_end - y_begin) *
+                                  static_cast<std::uint64_t>(width);
+  counters.alu_instructions += fragments * cp.alu_per_fragment;
+  counters.tex_fetches += fragments * cp.tex_per_fragment;
+  counters.tex_fetch_bytes += fragments * cp.tex_bytes_per_fragment;
 }
 
 }  // namespace hs::gpusim

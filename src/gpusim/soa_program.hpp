@@ -24,10 +24,9 @@
 //
 // Coordinate ALU that feeds only static/uniform fetches is skipped at run
 // time in fullscreen-row mode (runtime DCE; ALU counters are analytic, so
-// modeled work is unchanged). Geometry passes run all-dynamic: every
-// instruction executes and every fetch takes the dynamic path. A
-// fullscreen pass whose viewport reaches past the float-exactness bound
-// runs all-dynamic too, so no pass ever leaves this engine.
+// modeled work is unchanged). A pass whose viewport reaches past the
+// float-exactness bound runs all-dynamic: every instruction executes and
+// every fetch takes the dynamic path, so no pass ever leaves this engine.
 //
 // Cache replay stays in the interpreter's canonical order -- fragment-
 // major, TEX slots in program order within each fragment. Each tile first
@@ -163,16 +162,6 @@ struct SoaProgram {
 /// so ProgramCache stores its result under the same key.
 SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled);
 
-/// A rasterized fragment for geometry passes (see gpusim/raster.hpp):
-/// target pixel plus the interpolated texcoord attributes. Aliased as
-/// Device::GeomFragment.
-struct GeomFragment {
-  int x = 0;
-  int y = 0;
-  float4 texcoord0{};
-  float4 texcoord1{};
-};
-
 /// Everything one simulated pipe needs to run its slice of a pass.
 struct SoaBindings {
   std::span<const Texture2D* const> textures;
@@ -200,11 +189,5 @@ std::size_t soa_active_fusions(const SoaProgram& program,
 /// texel center) and accumulates the analytic counters.
 void run_soa_rows(const SoaProgram& program, const SoaBindings& bindings,
                   int width, int y_begin, int y_end, ExecCounters& counters);
-
-/// Executes an explicit fragment list slice (geometry passes).
-void run_soa_fragments(const SoaProgram& program,
-                       const SoaBindings& bindings,
-                       std::span<const GeomFragment> fragments,
-                       ExecCounters& counters);
 
 }  // namespace hs::gpusim

@@ -222,15 +222,14 @@ void expect_same_pass(const PassStats& a, const PassStats& b) {
 }
 
 struct GrainRun {
-  std::vector<PassStats> stats;  // light, heavy, heavy fragment list
+  std::vector<PassStats> stats;  // light, heavy
   std::vector<std::vector<float4>> images;
   std::uint64_t inline_passes = 0;
   std::uint64_t fanned_out_passes = 0;
 };
 
-/// Draws the light and heavy programs fullscreen and the heavy one over
-/// a fragment list (every texel once, bottom row first) on a 24-pipe
-/// device with `threads` runners.
+/// Draws the light and heavy programs on a 24-pipe device with `threads`
+/// runners.
 GrainRun run_grain_passes(std::size_t threads, ExecEngine engine) {
   SimConfig cfg;
   cfg.worker_threads = threads;
@@ -246,30 +245,14 @@ GrainRun run_grain_passes(std::size_t threads, ExecEngine engine) {
                1.f};
   }
   dev.upload(in, std::span<const float4>(data));
-  std::vector<Device::GeomFragment> frags;
-  for (int y = n - 1; y >= 0; --y) {
-    for (int x = 0; x < n; ++x) {
-      Device::GeomFragment f;
-      f.x = x;
-      f.y = y;
-      f.texcoord0 = {static_cast<float>(x) + 0.5f, static_cast<float>(y) + 0.5f,
-                     0.f, 1.f};
-      frags.push_back(f);
-    }
-  }
 
   GrainRun run;
   const TextureHandle ins[1] = {in};
-  for (int pass = 0; pass < 3; ++pass) {
+  for (int pass = 0; pass < 2; ++pass) {
     const TextureHandle out = dev.create_texture(n, n, TextureFormat::RGBA32F);
     const TextureHandle outs[1] = {out};
-    if (pass == 0) {
-      run.stats.push_back(dev.draw(light_program(), ins, {}, outs));
-    } else if (pass == 1) {
-      run.stats.push_back(dev.draw(heavy_program(), ins, {}, outs));
-    } else {
-      run.stats.push_back(dev.draw_fragments(heavy_program(), frags, ins, {}, outs));
-    }
+    run.stats.push_back(
+        dev.draw(pass == 0 ? light_program() : heavy_program(), ins, {}, outs));
     run.images.push_back(dev.download(out));
   }
   run.inline_passes = dev.passes_inline();
@@ -335,7 +318,7 @@ std::vector<float4> slice_texels(int width, int height, int salt) {
 /// On a 24-pipe device with `threads` runners and a kSliceWidth x
 /// `height` viewport: light, heavy and heavy_static fullscreen; new
 /// texels, then heavy_static again (a memo hit on the SoA engine with the
-/// cache model on); and heavy over a fragment list.
+/// cache model on).
 SlicedRun run_slice_passes(std::size_t threads, ExecEngine engine,
                           bool texture_cache, int height) {
   SimConfig cfg;
@@ -346,23 +329,12 @@ SlicedRun run_slice_passes(std::size_t threads, ExecEngine engine,
   const int w = kSliceWidth;
   const TextureHandle in = dev.create_texture(w, height, TextureFormat::RGBA32F);
   dev.upload(in, std::span<const float4>(slice_texels(w, height, 0)));
-  std::vector<Device::GeomFragment> frags;
-  for (int y = height - 1; y >= 0; --y) {
-    for (int x = 0; x < w; ++x) {
-      Device::GeomFragment f;
-      f.x = x;
-      f.y = y;
-      f.texcoord0 = {static_cast<float>(x) + 0.5f, static_cast<float>(y) + 0.5f,
-                     0.f, 1.f};
-      frags.push_back(f);
-    }
-  }
 
   trace::reset();
   trace::set_enabled(true);
   SlicedRun run;
   const TextureHandle ins[1] = {in};
-  for (int pass = 0; pass < 5; ++pass) {
+  for (int pass = 0; pass < 4; ++pass) {
     const TextureHandle out = dev.create_texture(w, height, TextureFormat::RGBA32F);
     const TextureHandle outs[1] = {out};
     if (pass == 0) {
@@ -371,11 +343,9 @@ SlicedRun run_slice_passes(std::size_t threads, ExecEngine engine,
       run.stats.push_back(dev.draw(heavy_program(), ins, {}, outs));
     } else if (pass == 2) {
       run.stats.push_back(dev.draw(heavy_static_program(), ins, {}, outs));
-    } else if (pass == 3) {
+    } else {
       dev.upload(in, std::span<const float4>(slice_texels(w, height, 1)));
       run.stats.push_back(dev.draw(heavy_static_program(), ins, {}, outs));
-    } else {
-      run.stats.push_back(dev.draw_fragments(heavy_program(), frags, ins, {}, outs));
     }
     run.images.push_back(dev.download(out));
   }
@@ -436,9 +406,7 @@ TEST(Device, ResultsIndependentOfWorkerThreads) {
             SCOPED_TRACE(testing::Message() << "pass " << p);
             EXPECT_GE(span.runners, 1);
             EXPECT_LE(span.runners, static_cast<double>(threads));
-            // The fragment-list pass (4) always runs per pipe.
-            const bool replays = span.replay == "full" || p == 4;
-            EXPECT_EQ(span.slices, replays ? 24.0 : span.runners);
+            EXPECT_EQ(span.slices, span.replay == "full" ? 24.0 : span.runners);
           }
           // The SoA engine serves the redraw over new texels from its memo.
           const bool memo_hit = cache && engine == ExecEngine::Soa;
@@ -481,13 +449,12 @@ TEST(Device, ReplayingPassSlicesAlignToCacheTiles) {
 
 TEST(Device, PassFansOutOnlyPastTheGrain) {
   const GrainRun one = run_grain_passes(1, ExecEngine::Soa);
-  EXPECT_EQ(one.inline_passes, 3u);
+  EXPECT_EQ(one.inline_passes, 2u);
   EXPECT_EQ(one.fanned_out_passes, 0u);
-  // Light pass inline; the heavy fullscreen and fragment-list passes fan
-  // out.
+  // Light pass inline; the heavy pass fans out.
   const GrainRun four = run_grain_passes(4, ExecEngine::Soa);
   EXPECT_EQ(four.inline_passes, 1u);
-  EXPECT_EQ(four.fanned_out_passes, 2u);
+  EXPECT_EQ(four.fanned_out_passes, 1u);
 }
 
 TEST(Device, HelperThreadsStartOnTheFirstFanOut) {
@@ -505,22 +472,6 @@ TEST(Device, HelperThreadsStartOnTheFirstFanOut) {
   EXPECT_EQ(dev.helper_threads(), 0u);
   dev.draw(heavy_program(), ins, {}, outs);
   EXPECT_EQ(dev.helper_threads(), 2u);
-}
-
-TEST(Device, OverlappingFragmentsRunInline) {
-  SimConfig cfg;
-  cfg.worker_threads = 4;
-  Device dev(geforce_7800_gtx(), cfg);
-  const int n = kGrainViewport;
-  const TextureHandle in = dev.create_texture(n, n, TextureFormat::RGBA32F);
-  const TextureHandle out = dev.create_texture(n, n, TextureFormat::RGBA32F);
-  // Heavy enough to fan out, but every fragment hits texel (0, 0).
-  std::vector<Device::GeomFragment> frags(static_cast<std::size_t>(n * n));
-  const TextureHandle ins[1] = {in};
-  const TextureHandle outs[1] = {out};
-  dev.draw_fragments(heavy_program(), frags, ins, {}, outs);
-  EXPECT_EQ(dev.passes_inline(), 1u);
-  EXPECT_EQ(dev.passes_fanned_out(), 0u);
 }
 
 TEST(Device, WorkerThreadsClampToPipes) {

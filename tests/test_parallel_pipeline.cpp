@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/amc.hpp"
@@ -404,11 +406,25 @@ TEST(ChunkScheduler, SingleWorkerRunsInIndexOrderInline) {
 TEST(ChunkScheduler, PropagatesJobExceptionAndStopsIssuingChunks) {
   stream::ChunkScheduler scheduler(3);
   std::atomic<int> started{0};
+  std::atomic<bool> throwing{false};
   EXPECT_THROW(
       scheduler.run(1000,
                     [&](std::size_t, std::size_t chunk) {
                       started.fetch_add(1);
-                      if (chunk == 5) throw std::runtime_error("chunk blew up");
+                      if (chunk == 5) {
+                        throwing.store(true);
+                        throw std::runtime_error("chunk blew up");
+                      }
+                      // Later chunks wait for the throw and then hold for
+                      // a millisecond. To issue every chunk, the other two
+                      // workers would need chunk 5's worker descheduled
+                      // for about half a second between its throw and the
+                      // scheduler's failure flag.
+                      if (chunk > 5) {
+                        while (!throwing.load()) std::this_thread::yield();
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(1));
+                      }
                     }),
       std::runtime_error);
   // The failure flag stops new chunks; far fewer than all 1000 ran.

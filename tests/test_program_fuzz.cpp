@@ -4,10 +4,10 @@
 //     counters always reconcile with the program's static instruction mix;
 //   * device passes never write outside their render targets;
 //   * differential: the SoA engine reproduces the interpreter bit-for-bit
-//     -- outputs, counters, cache statistics, modeled time -- on
-//     fullscreen and geometry passes alike, including viewports past the
-//     SoA static plans' float-exactness bound, redraws served from the
-//     replay memo, and static fetches feeding fused loops.
+//     -- outputs, counters, cache statistics, modeled time -- including
+//     viewports past the SoA static plans' float-exactness bound (which
+//     run all-dynamic), redraws served from the replay memo, and static
+//     fetches feeding fused loops.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -525,53 +525,65 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
   }
 }
 
-TEST_P(ProgramFuzz, EnginesBitIdenticalOnGeometryPasses) {
-  util::Xoshiro256 rng(GetParam() ^ 0x6E0ULL);
-  for (int trial = 0; trial < 6; ++trial) {
-    const int pipes = 1 + static_cast<int>(rng.uniform_int(4));
-    EnginePair pair(pipes);
-    const int w = 17, h = 11;
+TEST_P(ProgramFuzz, EnginesBitIdenticalOnAllDynamicPasses) {
+  // A viewport wider than 2^21 texels is past the SoA static plans'
+  // exactness bound, so the SoA engine runs the pass all-dynamic: every
+  // instruction executes, and Static and Uniform slots resolve per lane
+  // like Dynamic ones. Seeds alternate between all-static programs (whose
+  // coordinate ALU the static plans would skip) and general ones. One
+  // trial per seed keeps the 2^21-texel passes cheap.
+  util::Xoshiro256 rng(GetParam() ^ 0xA11DULL);
+  constexpr int kW = (1 << 21) + 8;
+  EnginePair pair(1 + static_cast<int>(rng.uniform_int(4)));
+  std::vector<float> data_a(static_cast<std::size_t>(kW));
+  std::vector<float> data_b(data_a.size());
+  for (auto& v : data_a) v = static_cast<float>(rng.uniform(-4, 4));
+  for (auto& v : data_b) v = static_cast<float>(rng.uniform(-4, 4));
 
-    std::vector<float4> data(static_cast<std::size_t>(w) * h);
-    for (auto& v : data) {
-      v = {static_cast<float>(rng.uniform(-4, 4)),
-           static_cast<float>(rng.uniform(-4, 4)),
-           static_cast<float>(rng.uniform(-4, 4)),
-           static_cast<float>(rng.uniform(-4, 4))};
-    }
-
-    TextureHandle in[2], out[2];
-    Device* devs[2] = {&pair.interp, &pair.soa};
-    for (int d = 0; d < 2; ++d) {
-      in[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F,
-                                      AddressMode::Repeat);
-      out[d] = devs[d]->create_texture(w, h, TextureFormat::RGBA32F);
-      devs[d]->upload(in[d], data);
-    }
-
-    std::vector<Device::GeomFragment> frags(37);
-    for (auto& f : frags) {
-      f.x = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(w)));
-      f.y = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(h)));
-      f.texcoord0 = {static_cast<float>(rng.uniform(-2, w + 2)),
-                     static_cast<float>(rng.uniform(-2, h + 2)), 0.f, 1.f};
-      f.texcoord1 = {static_cast<float>(rng.uniform(0, 1)),
-                     static_cast<float>(rng.uniform(0, 1)), 0.f, 0.f};
-    }
-
-    const FragmentProgram p =
-        random_program(rng, 16, 1, /*partial_masks=*/true);
-    const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
-                                 {-1, 0, 1, 2}, {4, 3, 2, 1}};
-    PassStats stats[2];
-    for (int d = 0; d < 2; ++d) {
-      const TextureHandle ins[1] = {in[d]};
-      const TextureHandle outs[1] = {out[d]};
-      stats[d] = devs[d]->draw_fragments(p, frags, ins, constants, outs);
-    }
-    expect_identical_stats(stats[0], stats[1]);
-    expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
+  const FragmentProgram p =
+      GetParam() % 2 == 0 ? random_static_program(rng, 12, 2)
+                          : random_program(rng, 12, 2, /*partial_masks=*/true);
+  const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
+                               {-1, 0, 1, 2}, {4, 3, 2, 1}};
+  TextureHandle out[2];
+  PassStats stats[2];
+  Device* devs[2] = {&pair.interp, &pair.soa};
+  trace::reset();
+  trace::set_enabled(true);
+  for (int d = 0; d < 2; ++d) {
+    const TextureHandle in_a = devs[d]->create_texture(
+        kW, 1, TextureFormat::R32F, AddressMode::Repeat);
+    const TextureHandle in_b = devs[d]->create_texture(
+        kW, 1, TextureFormat::R32F, AddressMode::Repeat);
+    out[d] = devs[d]->create_texture(kW, 1, TextureFormat::R32F);
+    devs[d]->upload(in_a, std::span<const float>(data_a));
+    devs[d]->upload(in_b, std::span<const float>(data_b));
+    const TextureHandle ins[2] = {in_a, in_b};
+    const TextureHandle outs[1] = {out[d]};
+    stats[d] = devs[d]->draw(p, ins, constants, outs);
   }
+  trace::set_enabled(false);
+  expect_identical_stats(stats[0], stats[1]);
+  expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
+#if HS_TRACE_ENABLED
+  // The SoA pass span (the second) counts every fetch slot as dynamic.
+  std::vector<std::map<std::string, double>> paths;
+  for (const trace::TraceEvent& e : trace::snapshot()) {
+    if (e.cat != "pass") continue;
+    auto& path = paths.emplace_back();
+    for (const trace::TraceArg& arg : e.args) {
+      if (std::string_view(arg.key).starts_with("fetch_")) {
+        path[std::string(arg.key)] = arg.num;
+      }
+    }
+  }
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_EQ(paths[1]["fetch_static"], 0);
+  EXPECT_EQ(paths[1]["fetch_uniform"], 0);
+  EXPECT_EQ(paths[1]["fetch_dynamic"],
+            static_cast<double>(p.tex_instruction_count()));
+#endif
+  trace::reset();
 }
 
 TEST(ProgramFuzzDirected, WideViewportPastExactBoundMatchesInterpreter) {
@@ -908,33 +920,6 @@ TEST(ReplayMemo, DependentFetchKeysOnCoordinateTextureWrites) {
   for (Device* dev : rig.devs) dev->texture(offsets).store(3, 4, {-2, 5, 1, 1});
   EXPECT_FALSE(draw_hits());
   EXPECT_TRUE(draw_hits());
-}
-
-TEST(ReplayMemo, GeometryPassesNeverRecord) {
-  MemoRig rig;
-  const TextureHandle a = rig.texture(19, 13);
-  const TextureHandle b = rig.texture(19, 13);
-  const TextureHandle out = rig.texture(19, 13);
-  const FragmentProgram p = memo_neighbors();
-  std::vector<Device::GeomFragment> frags;
-  for (int y = 0; y < 13; y += 2) {
-    for (int x = 0; x < 19; ++x) {
-      frags.push_back({x, y, {x + 0.5f, y + 0.5f, 0.f, 1.f}, {}});
-    }
-  }
-  const float4 constants[1] = {{1, 0, 0, 0}};
-  const TextureHandle ins[2] = {a, b};
-  const TextureHandle outs[1] = {out};
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    PassStats stats[2];
-    for (int d = 0; d < 2; ++d) {
-      stats[d] = rig.devs[d]->draw_fragments(p, frags, ins, constants, outs);
-    }
-    expect_identical_stats(stats[0], stats[1]);
-    expect_identical_texels(rig.pair.interp, out, rig.pair.soa, out);
-  }
-  EXPECT_EQ(rig.pair.soa.replay_memo_misses(), 0u);
-  EXPECT_EQ(rig.pair.soa.replay_memo_hits(), 0u);
 }
 
 #if HS_TRACE_ENABLED

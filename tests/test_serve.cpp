@@ -707,8 +707,11 @@ TEST(ServeServer, NonDrainShutdownCancelsQueuedJobs) {
 
   std::thread closer([&] { server.shutdown(/*drain=*/false); });
   // shutdown(false) cancels the queued jobs and requests cooperative
-  // cancellation of the running one; release the gate so it can react.
-  std::this_thread::sleep_for(1ms);
+  // cancellation of the running one before it joins the worker, which the
+  // gate holds; once both queued jobs are terminal, release the gate so
+  // the running job can react.
+  server.wait(q1.id);
+  server.wait(q2.id);
   gate.open();
   closer.join();
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Full pre-merge check: build and test the Release configuration, an
-# ASan/UBSan-instrumented configuration, a TSan configuration running the
-# concurrency suite (TSan and ASan are mutually exclusive, hence the
-# separate build dir), and a tracing-disabled (HS_TRACE=OFF)
-# configuration; then smoke-test the hsi-profile and hsi-served CLIs and
-# run the loopback TCP end-to-end smokes: single-process (hsi-served
-# --listen driven by hsi-loadgen, witness-checked against file mode) and
-# sharded (--shards 2 spawning worker processes, same witness check, then
-# a SIGTERM drain).
+# Full pre-merge check: fail on any src/ header that only tests include;
+# build and test the Release configuration, an ASan/UBSan-instrumented
+# configuration, a TSan configuration running the concurrency suite
+# (TSan and ASan are mutually exclusive, hence the separate build dir),
+# and a tracing-disabled (HS_TRACE=OFF) configuration; then smoke-test
+# the hsi-profile and hsi-served CLIs and run the loopback TCP end-to-end
+# smokes: single-process (hsi-served --listen driven by hsi-loadgen,
+# witness-checked against file mode) and sharded (--shards 2 spawning
+# worker processes, same witness check, then a SIGTERM drain).
 #
 # Usage: tools/check.sh [extra ctest args...]
 set -euo pipefail
@@ -226,7 +226,24 @@ smoke_benches() {
   rm -rf "$out"
 }
 
+# A header under src/ that nothing outside tests/ includes (its own .cpp
+# aside) belongs to a module only its tests call: dead code to delete.
+check_headers() {
+  local hpp ok=1
+  for hpp in $(find src -name '*.hpp' | sort); do
+    if ! grep -rlF --include='*.cpp' --include='*.hpp' "#include \"${hpp#src/}\"" \
+         src tools examples bench perfbench | grep -qvx "${hpp%.hpp}.cpp"; then
+      echo "header check: nothing outside tests/ includes $hpp" >&2
+      ok=0
+    fi
+  done
+  [ "$ok" = 1 ]
+}
+
 CTEST_ARGS=("$@")
+
+echo "==> Headers"
+check_headers
 
 echo "==> Release"
 run_config build-release -DCMAKE_BUILD_TYPE=Release
