@@ -219,20 +219,19 @@ BENCHMARK(BM_HalfQuantize);
 // (on the first draw and on the last timed redraw), then times both. This
 // measures pure host-side simulation throughput.
 //
-// The SoA engine is also timed with the texture-cache model off: cache
-// replay walks the interpreter's canonical probe sequence, so the
-// cache-on and cache-off times together show how much of a pass is
-// replay. Every redraw reuses the recorded cache totals of the first draw
+// Every SoA redraw reuses the recorded cache totals of the first draw
 // (the replay memo): SID's fetches are all static, and MEI's dependent
 // fetches take their coordinates from the offsets texture, which the
-// redraws do not write. The first SoA draw -- lowering plus the recording
-// replay -- is timed on its own, outside the best-of loop.
+// redraws do not write. So the timed redraws replay nothing, and the
+// first SoA draw -- lowering plus the recording replay -- is timed on its
+// own, outside the best-of loop. Replay cost is not read from this bench:
+// a best-of-10 gap between sub-millisecond passes moves more between runs
+// than the gap itself.
 
 struct EngineTiming {
   double interp_seconds = 0;
   double soa_seconds = 0;
-  double soa_first_seconds = 0;  ///< cache on, first draw only
-  double soa_nocache_seconds = 0;
+  double soa_first_seconds = 0;  ///< first draw only
   double modeled_seconds = 0;  ///< identical for both engines
   bool identical = false;      ///< texels and PassStats bit-equal
 
@@ -270,7 +269,7 @@ bool same_outcome(const PassOutcome& a, const PassOutcome& b) {
          same_stats(a.stats, b.stats) && same_stats(a.last_stats, b.last_stats);
 }
 
-PassOutcome run_engine(gpusim::ExecEngine engine, bool texture_cache,
+PassOutcome run_engine(gpusim::ExecEngine engine,
                        const gpusim::FragmentProgram& program,
                        const std::vector<gpusim::TextureFormat>& in_formats,
                        std::span<const gpusim::float4> constants, int size,
@@ -279,7 +278,6 @@ PassOutcome run_engine(gpusim::ExecEngine engine, bool texture_cache,
   profile.fragment_pipes = 4;
   gpusim::SimConfig config;
   config.exec_engine = engine;
-  config.texture_cache = texture_cache;
   gpusim::Device dev(profile, config);
 
   util::Xoshiro256 rng(11);
@@ -328,17 +326,14 @@ EngineTiming time_engines(const gpusim::FragmentProgram& program,
                           std::span<const gpusim::float4> constants, int size,
                           int reps) {
   using gpusim::ExecEngine;
-  const PassOutcome interp = run_engine(ExecEngine::Interpreter, true, program,
+  const PassOutcome interp = run_engine(ExecEngine::Interpreter, program,
                                         in_formats, constants, size, reps);
-  const PassOutcome soa = run_engine(ExecEngine::Soa, true, program,
-                                     in_formats, constants, size, reps);
-  const PassOutcome soa_nocache = run_engine(ExecEngine::Soa, false, program,
-                                             in_formats, constants, size, reps);
+  const PassOutcome soa =
+      run_engine(ExecEngine::Soa, program, in_formats, constants, size, reps);
   EngineTiming timing;
   timing.interp_seconds = interp.seconds;
   timing.soa_seconds = soa.seconds;
   timing.soa_first_seconds = soa.first_seconds;
-  timing.soa_nocache_seconds = soa_nocache.seconds;
   timing.modeled_seconds = interp.stats.modeled_seconds;
   timing.identical = same_outcome(interp, soa);
   return timing;
@@ -372,12 +367,11 @@ bool run_engine_comparison(const std::string& json_path) {
       sid, {TF::RGBA32F, TF::RGBA32F, TF::R32F}, offsets, kChunkSize, kReps);
 
   util::Table table({"Shader", "interpreter", "soa", "soa (first draw)",
-                     "soa (cache off)", "interp/soa", "bit-identical"});
+                     "interp/soa", "bit-identical"});
   auto add_row = [&table](const std::string& name, const EngineTiming& t) {
     table.add_row({name, util::format_duration(t.interp_seconds),
                    util::format_duration(t.soa_seconds),
                    util::format_duration(t.soa_first_seconds),
-                   util::format_duration(t.soa_nocache_seconds),
                    util::Table::num(t.speedup(), 2) + "x",
                    t.identical ? "yes" : "NO"});
   };
@@ -395,7 +389,6 @@ bool run_engine_comparison(const std::string& json_path) {
       report.add(bench, "wall_seconds_interpreter", t.interp_seconds);
       report.add(bench, "wall_seconds_soa", t.soa_seconds);
       report.add(bench, "wall_seconds_soa_first", t.soa_first_seconds);
-      report.add(bench, "wall_seconds_soa_nocache", t.soa_nocache_seconds);
       report.add(bench, "speedup", t.speedup());
       report.add(bench, "bit_identical", t.identical ? 1 : 0);
       report.add(bench, "modeled_seconds", t.modeled_seconds);

@@ -175,12 +175,11 @@ class ReplayMemo {
  public:
   static constexpr std::size_t kMaxRecords = 64;
 
-  /// Everything the replay of a fullscreen pass inside the static plans'
-  /// exactness bound reads: the viewport, the alias pattern (per unit,
-  /// the first unit bound to the same texture, so ping-pong passes that
-  /// swap texture ids keep their pattern), each fetch slot's unit and
-  /// plan (mode, dx/dy or ux/uy) in program order, and each sampled
-  /// unit's width, height, format and address mode. For an
+  /// Everything the replay of a fullscreen pass reads: the viewport, the
+  /// alias pattern (per unit, the first unit bound to the same texture,
+  /// so ping-pong passes that swap texture ids keep their pattern), each
+  /// fetch slot's unit and plan (mode, dx/dy or ux/uy) in program order,
+  /// and each sampled unit's width, height, format and address mode. For an
   /// all-Static/Uniform program these fix every probed address in every
   /// pipe, so programs that differ only in constants feeding ALU share a
   /// key. When some slot is Dynamic its coordinates come from ALU (and

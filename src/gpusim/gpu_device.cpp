@@ -63,18 +63,16 @@ void annotate_pass_span(trace::Span& span, const PassStats& stats,
 }
 
 /// Attaches which SoA path ran the pass: fetch slots by class
-/// (`fetch_static`, `fetch_dynamic`, `fetch_uniform`; every slot is
-/// dynamic when the static plans do not apply) and the instructions that
-/// ran fused (`fused`, 0 when the bound textures fail the fusion check).
-/// Interpreter passes carry none of these.
+/// (`fetch_static`, `fetch_dynamic`, `fetch_uniform`) and the instructions
+/// that ran fused (`fused`, 0 when the bound textures fail the fusion
+/// check). Interpreter passes carry none of these.
 void annotate_engine_path(trace::Span& span, const SoaProgram* soa,
-                          std::span<const Texture2D* const> textures,
-                          bool plans_exact) {
+                          std::span<const Texture2D* const> textures) {
   if (!span.active() || soa == nullptr) return;
   using Mode = SoaFetchPlan::Mode;
   double fetches[3] = {0, 0, 0};  // indexed by Mode
   for (const SoaFetchPlan& plan : soa->fetch) {
-    ++fetches[static_cast<std::size_t>(plans_exact ? plan.mode : Mode::Dynamic)];
+    ++fetches[static_cast<std::size_t>(plan.mode)];
   }
   span.arg("fetch_static", fetches[static_cast<std::size_t>(Mode::Static)]);
   span.arg("fetch_dynamic", fetches[static_cast<std::size_t>(Mode::Dynamic)]);
@@ -124,6 +122,12 @@ Device::Device(DeviceProfile profile, SimConfig config)
 
 TextureHandle Device::create_texture(int width, int height, TextureFormat format,
                                      AddressMode address) {
+  if (width > kMaxTextureDim || height > kMaxTextureDim) {
+    throw std::invalid_argument(
+        "texture of " + std::to_string(width) + "x" + std::to_string(height) +
+        " texels exceeds the " + std::to_string(kMaxTextureDim) + "x" +
+        std::to_string(kMaxTextureDim) + " texture limit");
+  }
   auto tex = std::make_unique<Texture2D>(width, height, format, address);
   const std::uint64_t bytes = tex->size_bytes();
   if (config_.enforce_memory_limit &&
@@ -457,9 +461,7 @@ PassStats Device::draw(const FragmentProgram& program,
   // per-device cache geometry and pipe partition are fixed, so a pass's
   // cache totals depend only on what ReplayMemo::Key holds. Replay the
   // first draw of a key and reuse its totals on later ones.
-  const bool plans_exact =
-      soa != nullptr && soa_static_plans_exact(*soa, width, height);
-  const bool memoizable = plans_exact && config_.texture_cache &&
+  const bool memoizable = soa != nullptr && config_.texture_cache &&
                           pipe_caches_.front().set_index_ignores_texture_id();
   ReplayMemo::Key memo_key;
   const PassCacheTotals* memoized = nullptr;
@@ -553,7 +555,7 @@ PassStats Device::draw(const FragmentProgram& program,
   const char* replay = nullptr;
   if (config_.texture_cache) replay = memoized != nullptr ? "memo" : "full";
   annotate_pass_span(span, stats, replay, runners, slices);
-  annotate_engine_path(span, soa.get(), bound.inputs, plans_exact);
+  annotate_engine_path(span, soa.get(), bound.inputs);
   return stats;
 }
 

@@ -174,8 +174,9 @@ class Device {
 
   // -- video memory ---------------------------------------------------------
 
-  /// Allocates a texture; throws GpuOutOfMemory when the profile's video
-  /// memory would be exceeded (and enforcement is on).
+  /// Allocates a texture; throws std::invalid_argument when a side exceeds
+  /// kMaxTextureDim, and GpuOutOfMemory when the profile's video memory
+  /// would be exceeded (and enforcement is on).
   TextureHandle create_texture(int width, int height, TextureFormat format,
                                AddressMode address = AddressMode::ClampToEdge);
   void destroy_texture(TextureHandle handle);

@@ -38,13 +38,12 @@ namespace {
 
 constexpr int kTile = 256;
 
-/// Folded static offsets beyond this are refused at lowering: together
-/// with the viewport bound below they keep `(x + 0.5) + dx` exactly
-/// representable (|value| < 2^22 has an exact 0.5-fractional float).
+/// Folded static offsets beyond this are refused at lowering. A viewport
+/// is at most kMaxTextureDim texels on a side, so every static coordinate
+/// `(x + 0.5) + dx` is below 2^12 + 2^20 < 2^21 in magnitude: exact in
+/// float, which holds every half-integer below 2^23.
 constexpr std::int32_t kMaxStaticOffset = 1 << 20;
-/// Viewport coordinates must stay below this for the static fast path;
-/// run_soa_rows runs a wider pass all-dynamic instead.
-constexpr std::int64_t kMaxExactCoord = std::int64_t{1} << 21;
+static_assert(kMaxTextureDim + kMaxStaticOffset < (1 << 21));
 
 /// Replay-tag sentinel for a border-color (uncounted) fetch lane; the
 /// cache's replay_matrix() skips these lanes (see TextureCache::kSkipTag).
@@ -118,11 +117,6 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
   // Forward pass: propagate "texcoord0 + integer offset" facts through the
   // MOV/ADD/SUB idiom and classify every fetch slot.
   std::array<Fact, kMaxTemps> facts{};
-  std::int64_t max_off = 0;
-  auto note = [&max_off](const Fact& f) {
-    max_off = std::max<std::int64_t>(max_off, std::abs(std::int64_t{f.dx}));
-    max_off = std::max<std::int64_t>(max_off, std::abs(std::int64_t{f.dy}));
-  };
   for (const CompiledIns& ci : cp.code) {
     if (ci.op == Opcode::TEX) {
       SoaFetchPlan& plan = sp.fetch[static_cast<std::size_t>(ci.tex_slot)];
@@ -136,7 +130,6 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
         plan.mode = SoaFetchPlan::Mode::Static;
         plan.dx = base.dx;
         plan.dy = base.dy;
-        note(base);
       }
       if (!ci.dst_is_output && (ci.write_mask & 0x3u) != 0) {
         facts[ci.dst_index].valid = false;
@@ -174,10 +167,8 @@ SoaProgram lower_soa(std::shared_ptr<const CompiledProgram> compiled) {
     }
     if (!ci.dst_is_output && (ci.write_mask & 0x3u) != 0) {
       facts[ci.dst_index] = nf;  // invalid nf = plain invalidation
-      if (nf.valid) note(nf);
     }
   }
-  sp.max_abs_offset = static_cast<std::int32_t>(max_off);
 
   // A reuse slot resolves identically to its owner by construction (same
   // unclobbered coordinate descriptor, same texture geometry), so the
@@ -721,10 +712,10 @@ void fill_rows(float* const d[4], float4 v, int from, int to) {
 }
 
 /// Per-pass validation of the lowered gather->ALU annotations against the
-/// actually-bound textures: the fused loops assume four-channel texels,
-/// no border lanes (every linear index valid) and int32-sized textures.
-/// Any mismatch disables fusion for the pass -- annotated instructions
-/// then execute normally against materialized fetch rows.
+/// actually-bound textures: the fused loops assume four-channel texels
+/// and no border lanes (every linear index valid). Any mismatch disables
+/// fusion for the pass -- annotated instructions then execute normally
+/// against materialized fetch rows.
 bool fusions_active(const SoaProgram& sp,
                     std::span<const Texture2D* const> textures) {
   if (sp.fused.empty()) return false;
@@ -732,9 +723,7 @@ bool fusions_active(const SoaProgram& sp,
     for (int s = 0; s < 2; ++s) {
       const Texture2D* tex = textures[fa.unit[s]];
       if (channels_of(tex->format()) != 4 ||
-          tex->address_mode() == AddressMode::ClampToBorder ||
-          static_cast<std::int64_t>(tex->width()) * tex->height() >
-              std::numeric_limits<std::int32_t>::max()) {
+          tex->address_mode() == AddressMode::ClampToBorder) {
         return false;
       }
     }
@@ -1204,9 +1193,7 @@ void soa_tex_dynamic(const CompiledIns& ci, TileCtx& t, bool skip_store) {
   if (skip_store) {
     // Destination planes are consumed only by fused instructions, which
     // re-read the texels through the index row just built above.
-  } else if (!may_skip && four && d[0] && d[1] && d[2] && d[3] &&
-             static_cast<std::int64_t>(w) * h <=
-                 std::numeric_limits<std::int32_t>::max()) {
+  } else if (!may_skip && four && d[0] && d[1] && d[2] && d[3]) {
     // Hot shape (full-RGBA gather, no border lanes): one indexed 16-byte
     // texel read scattered into the four channel planes, nothing else --
     // the linear index row was precomputed once per resolve.
@@ -1287,15 +1274,14 @@ void soa_tex_dynamic(const CompiledIns& ci, TileCtx& t, bool skip_store) {
   }
 }
 
-void soa_tex(const CompiledIns& ci, const SoaProgram& sp, TileCtx& t,
-             bool static_plans) {
+void soa_tex(const CompiledIns& ci, const SoaProgram& sp, TileCtx& t) {
   const auto slot = static_cast<std::size_t>(ci.tex_slot);
   t.rt[slot].kind = SlotRT::kNone;
   const SoaFetchPlan& plan = sp.fetch[slot];
   const bool skip_store = t.fuse_active && sp.fetch_store_skip[slot] != 0;
-  if (static_plans && plan.mode == SoaFetchPlan::Mode::Static) {
+  if (plan.mode == SoaFetchPlan::Mode::Static) {
     soa_tex_static(ci, plan, t, skip_store);
-  } else if (static_plans && plan.mode == SoaFetchPlan::Mode::Uniform) {
+  } else if (plan.mode == SoaFetchPlan::Mode::Uniform) {
     soa_tex_uniform(ci, plan, t);
   } else {
     soa_tex_dynamic(ci, t, skip_store);
@@ -1411,12 +1397,6 @@ std::size_t soa_active_fusions(const SoaProgram& sp,
                                       : 0;
 }
 
-bool soa_static_plans_exact(const SoaProgram& sp, int width, int rows) {
-  // The static plans rely on `(x + 0.5) + dx` being exact in float.
-  return std::int64_t{std::max(width, rows)} + sp.max_abs_offset + 1 <
-         kMaxExactCoord;
-}
-
 void run_soa_rows(const SoaProgram& sp, const SoaBindings& b, int width,
                   int y_begin, int y_end, ExecCounters& counters) {
   if (width <= 0 || y_begin >= y_end) return;
@@ -1428,6 +1408,8 @@ void run_soa_rows(const SoaProgram& sp, const SoaBindings& b, int width,
                 "SoA executor needs a power-of-two cache tile");
   HS_ASSERT_MSG(b.tiles == nullptr || b.tiles->tile_size == 4,
                 "SoA executor needs 4x4 tile-touch tracker tiles");
+  HS_ASSERT_MSG(width <= kMaxTextureDim && y_end <= kMaxTextureDim,
+                "viewport exceeds the texture size limit");
   SoaScratch sc;
   sc.init(sp);
   const std::vector<SlotInfo> infos = make_slot_infos(cp, b);
@@ -1442,11 +1424,6 @@ void run_soa_rows(const SoaProgram& sp, const SoaBindings& b, int width,
   t.fuse_active = fusions_active(sp, b.textures);
   std::optional<ReplayState> replay;
   if (t.want_tags) replay.emplace(*b.cache, infos.size());
-  // Inside the exactness bound the static/uniform fetch plans apply and
-  // the coordinate ALU they make dead is skipped. A viewport reaching past
-  // it runs the pass all-dynamic: every instruction executes and every
-  // fetch resolves per lane -- same results, only slower.
-  const bool static_plans = soa_static_plans_exact(sp, width, y_end);
   const bool uses_tc0 = (cp.texcoords_used & 1u) != 0;
   for (int y = y_begin; y < y_end; ++y) {
     for (int x0 = 0; x0 < width; x0 += kTile) {
@@ -1468,11 +1445,11 @@ void run_soa_rows(const SoaProgram& sp, const SoaBindings& b, int width,
         }
       }
       for (std::size_t i = 0; i < cp.code.size(); ++i) {
-        if (static_plans && !sp.live_fullscreen[i]) continue;
+        if (!sp.live_fullscreen[i]) continue;
         if (t.fuse_active && sp.fuse_dead[i] != 0) continue;
         const CompiledIns& ci = cp.code[i];
         if (ci.op == Opcode::TEX) {
-          soa_tex(ci, sp, t, static_plans);
+          soa_tex(ci, sp, t);
         } else if (t.fuse_active && sp.dot_of[i] >= 0) {
           exec_fused_dot(
               ci, sp.fused_dot[static_cast<std::size_t>(sp.dot_of[i])], t);

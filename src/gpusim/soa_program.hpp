@@ -9,12 +9,13 @@
 //
 //   * STATIC fetches -- coordinate = texcoord0.xy plus a folded integer
 //     offset (the paper's neighbor-sampling idiom: `ADD R, tc0, c[d]`
-//     with integral constants). The float math `(x + 0.5) + dx` is exactly
-//     representable inside the float-exactness bound, so floor/wrap never
-//     runs per lane: the interior of the tile is a contiguous texel-row
-//     copy, edge lanes take scalar clamp fixups, the cache-line tags are
-//     synthesized arithmetically during replay, and tile-touch marks
-//     collapse to one range mark per tile.
+//     with integral constants). Every static coordinate is below 2^12 +
+//     2^20 < 2^21 (kMaxTextureDim plus the largest folded offset), so
+//     `(x + 0.5) + dx` is exact in float and floor/wrap never runs per
+//     lane: the interior of the tile is a contiguous texel-row copy, edge
+//     lanes take scalar clamp fixups, the cache-line tags are synthesized
+//     arithmetically during replay, and tile-touch marks collapse to one
+//     range mark per tile.
 //   * UNIFORM fetches -- a pass-uniform immediate coordinate: resolved
 //     once, broadcast into the destination rows, one constant tag.
 //   * DYNAMIC fetches -- everything else: the per-lane resolve is split
@@ -23,10 +24,8 @@
 //     independent rows, so each loop is a flat lane loop).
 //
 // Coordinate ALU that feeds only static/uniform fetches is skipped at run
-// time in fullscreen-row mode (runtime DCE; ALU counters are analytic, so
-// modeled work is unchanged). A pass whose viewport reaches past the
-// float-exactness bound runs all-dynamic: every instruction executes and
-// every fetch takes the dynamic path, so no pass ever leaves this engine.
+// time (runtime DCE; ALU counters are analytic, so modeled work is
+// unchanged).
 //
 // Cache replay stays in the interpreter's canonical order -- fragment-
 // major, TEX slots in program order within each fragment. Each tile first
@@ -36,17 +35,16 @@
 // TextureCache::ReplaySession::replay_matrix(), whose register-resident
 // probe loop only loads finished tags.
 //
-// A fullscreen pass inside the exactness bound (soa_static_plans_exact)
-// fetches texel coordinates that depend only on the viewport, each fetch
-// slot's unit and plan, and the sampled textures' shapes -- plus, when a
-// slot is Dynamic, the program and the texels of the units that feed its
-// coordinate (SoaProgram::coord_units). So its cache statistics and
-// tile-touch marks are a function of those and of which units share a
-// texture. Device::draw() replays such a pass once, records its totals in
-// the device's ReplayMemo (compiled_program.hpp), and runs later passes
-// with the same key -- other programs with the same fetch pattern too --
-// with no cache or tracker bound, one row slice per runner. The executor
-// itself replays whenever its bindings carry a cache.
+// A fullscreen pass fetches texel coordinates that depend only on the
+// viewport, each fetch slot's unit and plan, and the sampled textures'
+// shapes -- plus, when a slot is Dynamic, the program and the texels of
+// the units that feed its coordinate (SoaProgram::coord_units). So its
+// cache statistics and tile-touch marks are a function of those and of
+// which units share a texture. Device::draw() replays such a pass once,
+// records its totals in the device's ReplayMemo (compiled_program.hpp),
+// and runs later passes with the same key -- other programs with the same
+// fetch pattern too -- with no cache or tracker bound, one row slice per
+// runner. The executor itself replays whenever its bindings carry a cache.
 //
 // A small gather->ALU fusion pass further removes plane traffic: a
 // componentwise ADD/SUB/MUL whose two sources are identity reads of
@@ -119,15 +117,15 @@ struct SoaFusedDot {
 struct SoaProgram {
   std::shared_ptr<const CompiledProgram> compiled;
   std::vector<SoaFetchPlan> fetch;  ///< per fetch slot, program order
-  /// Per instruction: 1 = executes in fullscreen-row mode, 0 = its writes
-  /// feed only static/uniform fetch coordinates, which the executor
-  /// synthesizes analytically (runtime DCE). Ignored in all-dynamic passes.
+  /// Per instruction: 1 = executes, 0 = its writes feed only
+  /// static/uniform fetch coordinates, which the executor synthesizes
+  /// analytically (runtime DCE).
   std::vector<char> live_fullscreen;
   /// Per instruction: index into `fused` when the instruction carries a
   /// gather->ALU fusion, -1 otherwise. Fusions activate only when every
   /// referenced texture passes the per-pass runtime check (four channels,
-  /// non-border addressing, texel count within int32); otherwise the
-  /// instruction executes normally and fetches materialize as usual.
+  /// non-border addressing); otherwise the instruction executes normally
+  /// and fetches materialize as usual.
   std::vector<std::int16_t> fuse_of;
   std::vector<SoaFusedTex> fused;
   /// Per instruction: index into `fused_dot` for a fused dot-of-fusions,
@@ -143,14 +141,10 @@ struct SoaProgram {
   /// a fused source, so the gather may skip writing its destination planes
   /// while fusions are active (resolve, tags and marks still run).
   std::vector<char> fetch_store_skip;
-  /// Largest |dx| / |dy| (and intermediate folded offset) over static
-  /// plans; bounds the float-exactness check in run_soa_rows().
-  std::int32_t max_abs_offset = 0;
   /// Bitmask over texture units whose texels reach the coordinate of a
-  /// Dynamic fetch slot. In a fullscreen pass within
-  /// soa_static_plans_exact(), every fetch coordinate -- and so every
-  /// cache tag and tile mark -- depends on texel values only through
-  /// these units (0: not at all).
+  /// Dynamic fetch slot. In a fullscreen pass every fetch coordinate --
+  /// and so every cache tag and tile mark -- depends on texel values only
+  /// through these units (0: not at all).
   std::uint16_t coord_units = 0;
   /// 1 + the highest temp register the code touches: the executor's
   /// scratch holds only these registers.
@@ -173,20 +167,15 @@ struct SoaBindings {
   TileTouchTracker* tiles = nullptr;
 };
 
-/// True when a fullscreen pass `width` texels wide that reaches row
-/// `rows` stays inside the float-exactness bound of the static fetch
-/// plans. run_soa_rows() uses the static/uniform plans exactly then and
-/// otherwise runs the slice all-dynamic.
-bool soa_static_plans_exact(const SoaProgram& program, int width, int rows);
-
 /// Fused instructions that run fused in a pass over `textures`: 0 when
-/// the per-pass check (four channels, no border addressing, texel count
-/// within int32) fails for any texture a fusion reads.
+/// the per-pass check (four channels, no border addressing) fails for any
+/// texture a fusion reads.
 std::size_t soa_active_fusions(const SoaProgram& program,
                                std::span<const Texture2D* const> textures);
 
 /// Executes rows [y_begin, y_end) of a full-viewport pass (texcoord[0] =
-/// texel center) and accumulates the analytic counters.
+/// texel center) and accumulates the analytic counters. The viewport is
+/// at most kMaxTextureDim texels on a side.
 void run_soa_rows(const SoaProgram& program, const SoaBindings& bindings,
                   int width, int y_begin, int y_end, ExecCounters& counters);
 

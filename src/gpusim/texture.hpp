@@ -68,6 +68,16 @@ enum class AddressMode : std::uint8_t {
   ClampToBorder  ///< out-of-range reads return the border color
 };
 
+/// Largest texture width or height, in texels: the 4096 x 4096 limit of
+/// the NV38 and G70 the profiles model, and so also of a render target
+/// and a viewport. Device::create_texture rejects anything larger, and
+/// stream::plan_chunks splits a larger image into chunks that fit, as
+/// the paper does for oversize images.
+inline constexpr int kMaxTextureDim = 4096;
+/// A texel count, and so every linear texel index, fits in int32.
+static_assert(std::int64_t{kMaxTextureDim} * kMaxTextureDim <=
+              std::numeric_limits<std::int32_t>::max());
+
 class Texture2D {
  public:
   Texture2D(int width, int height, TextureFormat format,

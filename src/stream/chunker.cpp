@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gpusim/texture.hpp"
 #include "util/assert.hpp"
 
 namespace hs::stream {
@@ -30,6 +31,8 @@ ChunkRect make_chunk(int x0, int y0, int w, int h, int halo, int image_w,
 ChunkPlan plan_chunks(int width, int height, int halo,
                       std::uint64_t max_padded_texels) {
   HS_ASSERT(width > 0 && height > 0 && halo >= 0);
+  HS_ASSERT_MSG(2 * halo < gpusim::kMaxTextureDim,
+                "halo cannot fit a single pixel within the texture limit");
   HS_ASSERT_MSG(max_padded_texels >=
                     static_cast<std::uint64_t>(2 * halo + 1) *
                         static_cast<std::uint64_t>(2 * halo + 1),
@@ -43,17 +46,23 @@ ChunkPlan plan_chunks(int width, int height, int halo,
   // tile height.
   const std::uint64_t halo2 = 2 * static_cast<std::uint64_t>(halo);
   const std::uint64_t padded_w = static_cast<std::uint64_t>(width);
+  // No padded side may exceed the texture limit: an interior of at most
+  // this many texels plus its halo always fits.
+  const std::uint64_t max_side = gpusim::kMaxTextureDim;
+  const std::uint64_t max_interior = max_side - halo2;
   int tile_w = width;
   int tile_h = 0;
-  if (padded_w * (halo2 + 1) <= max_padded_texels) {
+  if (padded_w <= max_side && padded_w * (halo2 + 1) <= max_padded_texels) {
     // Preferred: full-width row bands.
     const std::uint64_t rows = max_padded_texels / padded_w;
     tile_h = static_cast<int>(std::min<std::uint64_t>(
-        rows - halo2, static_cast<std::uint64_t>(height)));
+        {rows - halo2, max_interior, static_cast<std::uint64_t>(height)}));
   } else {
     // 2-D tiles: aim square on the padded size.
-    const std::uint64_t side = static_cast<std::uint64_t>(
-        std::sqrt(static_cast<double>(max_padded_texels)));
+    const std::uint64_t side = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(
+            std::sqrt(static_cast<double>(max_padded_texels))),
+        max_side);
     const std::uint64_t interior_w = side > halo2 ? side - halo2 : 1;
     tile_w = static_cast<int>(
         std::min<std::uint64_t>(interior_w, static_cast<std::uint64_t>(width)));
@@ -62,7 +71,7 @@ ChunkPlan plan_chunks(int width, int height, int halo,
     const std::uint64_t rows = max_padded_texels / pw;
     const std::uint64_t interior_h = rows > halo2 ? rows - halo2 : 1;
     tile_h = static_cast<int>(std::min<std::uint64_t>(
-        interior_h, static_cast<std::uint64_t>(height)));
+        {interior_h, max_interior, static_cast<std::uint64_t>(height)}));
   }
   HS_ASSERT(tile_h > 0 && tile_w > 0);
 

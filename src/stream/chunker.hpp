@@ -1,9 +1,14 @@
-// Spatial chunking of images that exceed video memory.
+// Spatial chunking of images that exceed video memory or the texture
+// size limit.
 //
 // "In case of a target hyperspectral image that exceeds the capacity of
 //  the GPU memory, we split it into multiple chunks made up of entire
 //  pixel vectors, i.e. every chunk incorporates all the spectral
 //  information on a localized spatial region." (paper, Section 3.2)
+//
+// Chunks are sized by a texel budget (the caller's share of video memory)
+// and by gpusim::kMaxTextureDim: no padded chunk is wider or higher than
+// the largest texture the device accepts.
 //
 // Each chunk carries a halo: the morphological pipeline reads a
 // (2*se_radius)-pixel neighborhood around every output pixel -- one
@@ -36,10 +41,11 @@ struct ChunkPlan {
 };
 
 /// Plans a tiling of a width x height image such that no chunk's *padded*
-/// area exceeds `max_padded_texels`. Chunks are full-width row bands when
-/// possible (best upload locality), falling back to 2-D tiles when a
-/// single padded row band would not fit.
-/// halo >= 0; max_padded_texels must admit at least one pixel of interior.
+/// area exceeds `max_padded_texels` and no padded side exceeds
+/// gpusim::kMaxTextureDim. Chunks are full-width row bands when possible
+/// (best upload locality), falling back to 2-D tiles when a single padded
+/// row band would not fit. halo >= 0 with 2 * halo < kMaxTextureDim;
+/// max_padded_texels must admit at least one pixel of interior.
 ChunkPlan plan_chunks(int width, int height, int halo,
                       std::uint64_t max_padded_texels);
 

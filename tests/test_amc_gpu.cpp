@@ -26,17 +26,26 @@ AmcGpuOptions fast_options() {
 }
 
 TEST(AmcGpu, BitIdenticalToVectorizedCpuMirror) {
-  const auto cube = random_cube(14, 11, 10, 1);
+  // The thin scene is wider than the texture limit, so even the auto
+  // budget splits it into chunks the device accepts.
+  const hsi::HyperCube cubes[] = {random_cube(14, 11, 10, 1),
+                                  random_cube(5000, 4, 8, 7)};
   const StructuringElement se = StructuringElement::square(1);
-  const MorphOutputs cpu = morphology_vectorized(cube, se);
-  const AmcGpuReport gpu = morphology_gpu(cube, se, fast_options());
+  for (const hsi::HyperCube& cube : cubes) {
+    SCOPED_TRACE(::testing::Message() << cube.width() << "x" << cube.height());
+    const MorphOutputs cpu = morphology_vectorized(cube, se);
+    const AmcGpuReport gpu = morphology_gpu(cube, se, fast_options());
+    if (cube.width() > gpusim::kMaxTextureDim) {
+      EXPECT_GE(gpu.chunk_count, 2u);
+    }
 
-  ASSERT_EQ(gpu.morph.mei.size(), cpu.mei.size());
-  for (std::size_t i = 0; i < cpu.mei.size(); ++i) {
-    EXPECT_EQ(gpu.morph.db[i], cpu.db[i]) << "db at " << i;
-    EXPECT_EQ(gpu.morph.mei[i], cpu.mei[i]) << "mei at " << i;
-    EXPECT_EQ(gpu.morph.erosion_index[i], cpu.erosion_index[i]) << i;
-    EXPECT_EQ(gpu.morph.dilation_index[i], cpu.dilation_index[i]) << i;
+    ASSERT_EQ(gpu.morph.mei.size(), cpu.mei.size());
+    for (std::size_t i = 0; i < cpu.mei.size(); ++i) {
+      EXPECT_EQ(gpu.morph.db[i], cpu.db[i]) << "db at " << i;
+      EXPECT_EQ(gpu.morph.mei[i], cpu.mei[i]) << "mei at " << i;
+      EXPECT_EQ(gpu.morph.erosion_index[i], cpu.erosion_index[i]) << i;
+      EXPECT_EQ(gpu.morph.dilation_index[i], cpu.dilation_index[i]) << i;
+    }
   }
 }
 

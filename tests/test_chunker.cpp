@@ -5,10 +5,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "gpusim/texture.hpp"
+
 namespace hs::stream {
 namespace {
 
-/// Property: the interiors of all chunks exactly partition the image.
+/// Property: the interiors of all chunks exactly partition the image, and
+/// every padded chunk fits in one texture.
 void expect_partition(const ChunkPlan& plan, int width, int height) {
   std::vector<int> cover(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), 0);
   for (const auto& c : plan.chunks) {
@@ -16,6 +19,8 @@ void expect_partition(const ChunkPlan& plan, int width, int height) {
     EXPECT_GE(c.y0, 0);
     EXPECT_LE(c.x0 + c.width, width);
     EXPECT_LE(c.y0 + c.height, height);
+    EXPECT_LE(c.pwidth, gpusim::kMaxTextureDim);
+    EXPECT_LE(c.pheight, gpusim::kMaxTextureDim);
     for (int y = c.y0; y < c.y0 + c.height; ++y) {
       for (int x = c.x0; x < c.x0 + c.width; ++x) {
         ++cover[static_cast<std::size_t>(y) * static_cast<std::size_t>(width) +
@@ -134,6 +139,13 @@ TEST(Chunker, HugeBudgetsDoNotOverflowTileSizing) {
     const ChunkPlan wide = plan_chunks(1000, 2, 4, budget);
     ASSERT_EQ(wide.chunks.size(), 1u);
     expect_partition(wide, 1000, 2);
+    // Wider or higher than the texture limit: chunks that fit it.
+    const ChunkPlan past_limit = plan_chunks(9000, 3, 4, budget);
+    EXPECT_GE(past_limit.chunks.size(), 3u);
+    expect_partition(past_limit, 9000, 3);
+    const ChunkPlan tall = plan_chunks(3, 9000, 4, budget);
+    EXPECT_GE(tall.chunks.size(), 3u);
+    expect_partition(tall, 3, 9000);
   }
 }
 

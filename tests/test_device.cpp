@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gpusim/assembler.hpp"
@@ -53,6 +55,33 @@ TEST(Device, MemoryLimitCanBeDisabled) {
   cfg.enforce_memory_limit = false;
   Device dev(tiny_profile(), cfg);
   EXPECT_NO_THROW(dev.create_texture(512, 512, TextureFormat::RGBA32F));  // 4 MB
+}
+
+TEST(Device, RejectsTexturesPastTheSizeLimit) {
+  for (const DeviceProfile& profile :
+       {geforce_fx5950_ultra(), geforce_7800_gtx()}) {
+    for (const bool enforce : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << profile.name << " enforce " << enforce);
+      SimConfig cfg;
+      cfg.enforce_memory_limit = enforce;
+      Device dev(profile, cfg);
+      for (const auto& [w, h] : {std::pair{kMaxTextureDim + 1, 1},
+                                std::pair{1, kMaxTextureDim + 1}}) {
+        try {
+          dev.create_texture(w, h, TextureFormat::RGBA32F);
+          ADD_FAILURE() << w << "x" << h << " was accepted";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string_view(e.what()).find("4096x4096 texture limit"),
+                    std::string_view::npos)
+              << e.what();
+        }
+      }
+      EXPECT_EQ(dev.video_memory_used(), 0u);
+      EXPECT_NO_THROW(
+          dev.create_texture(kMaxTextureDim, 1, TextureFormat::RGBA32F));
+    }
+  }
 }
 
 TEST(Device, UploadDownloadRoundTripRgba) {

@@ -5,9 +5,9 @@
 //   * device passes never write outside their render targets;
 //   * differential: the SoA engine reproduces the interpreter bit-for-bit
 //     -- outputs, counters, cache statistics, modeled time -- including
-//     viewports past the SoA static plans' float-exactness bound (which
-//     run all-dynamic), redraws served from the replay memo, and static
-//     fetches feeding fused loops.
+//     viewports at the texture limit with the largest static offsets,
+//     redraws served from the replay memo, and static fetches feeding
+//     fused loops.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -525,107 +525,74 @@ TEST_P(ProgramFuzz, EnginesBitIdenticalOnFullscreenPasses) {
   }
 }
 
-TEST_P(ProgramFuzz, EnginesBitIdenticalOnAllDynamicPasses) {
-  // A viewport wider than 2^21 texels is past the SoA static plans'
-  // exactness bound, so the SoA engine runs the pass all-dynamic: every
-  // instruction executes, and Static and Uniform slots resolve per lane
-  // like Dynamic ones. Seeds alternate between all-static programs (whose
-  // coordinate ALU the static plans would skip) and general ones. One
-  // trial per seed keeps the 2^21-texel passes cheap.
-  util::Xoshiro256 rng(GetParam() ^ 0xA11DULL);
-  constexpr int kW = (1 << 21) + 8;
-  EnginePair pair(1 + static_cast<int>(rng.uniform_int(4)));
-  std::vector<float> data_a(static_cast<std::size_t>(kW));
-  std::vector<float> data_b(data_a.size());
-  for (auto& v : data_a) v = static_cast<float>(rng.uniform(-4, 4));
-  for (auto& v : data_b) v = static_cast<float>(rng.uniform(-4, 4));
-
-  const FragmentProgram p =
-      GetParam() % 2 == 0 ? random_static_program(rng, 12, 2)
-                          : random_program(rng, 12, 2, /*partial_masks=*/true);
-  const float4 constants[4] = {{1, 2, 3, 4}, {0.5, -0.5, 0.5, -0.5},
-                               {-1, 0, 1, 2}, {4, 3, 2, 1}};
-  TextureHandle out[2];
-  PassStats stats[2];
-  Device* devs[2] = {&pair.interp, &pair.soa};
-  trace::reset();
-  trace::set_enabled(true);
-  for (int d = 0; d < 2; ++d) {
-    const TextureHandle in_a = devs[d]->create_texture(
-        kW, 1, TextureFormat::R32F, AddressMode::Repeat);
-    const TextureHandle in_b = devs[d]->create_texture(
-        kW, 1, TextureFormat::R32F, AddressMode::Repeat);
-    out[d] = devs[d]->create_texture(kW, 1, TextureFormat::R32F);
-    devs[d]->upload(in_a, std::span<const float>(data_a));
-    devs[d]->upload(in_b, std::span<const float>(data_b));
-    const TextureHandle ins[2] = {in_a, in_b};
-    const TextureHandle outs[1] = {out[d]};
-    stats[d] = devs[d]->draw(p, ins, constants, outs);
-  }
-  trace::set_enabled(false);
-  expect_identical_stats(stats[0], stats[1]);
-  expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
-#if HS_TRACE_ENABLED
-  // The SoA pass span (the second) counts every fetch slot as dynamic.
-  std::vector<std::map<std::string, double>> paths;
-  for (const trace::TraceEvent& e : trace::snapshot()) {
-    if (e.cat != "pass") continue;
-    auto& path = paths.emplace_back();
-    for (const trace::TraceArg& arg : e.args) {
-      if (std::string_view(arg.key).starts_with("fetch_")) {
-        path[std::string(arg.key)] = arg.num;
-      }
-    }
-  }
-  ASSERT_EQ(paths.size(), 2u);
-  EXPECT_EQ(paths[1]["fetch_static"], 0);
-  EXPECT_EQ(paths[1]["fetch_uniform"], 0);
-  EXPECT_EQ(paths[1]["fetch_dynamic"],
-            static_cast<double>(p.tex_instruction_count()));
-#endif
-  trace::reset();
-}
-
 TEST(ProgramFuzzDirected, WideViewportPastExactBoundMatchesInterpreter) {
-  // A viewport wider than 2^21 texels is past the bound inside which the
-  // SoA static fetch plans are provably exact, so the SoA engine runs the
-  // pass all-dynamic. The neighbor-offset program below would otherwise
-  // take the static plans; results must still match the interpreter.
-  constexpr int kW = (1 << 21) + 8;
+  // Viewports at the texture limit with the largest static offsets: every
+  // static coordinate `(x + 0.5) + dx` stays below 2^12 + 2^20 and so is
+  // exact in float. Offsets of +-2^20 still lower Static; 2^20 + 1 lowers
+  // Dynamic. Both engines must agree bit for bit on the recording draw and
+  // on a memoized redraw over new texels.
   const FragmentProgram p = assemble_or_die(
-      "wide_neighbors",
+      "edge_offsets",
       "!!HSFP1.0\n"
       "ADD R0, fragment.texcoord[0], c[0];\n"
       "TEX R1, R0, texture[0];\n"
-      "SUB R2, fragment.texcoord[0], c[1];\n"
-      "TEX R3, R2, texture[0];\n"
-      "TEX R4, fragment.texcoord[0], texture[0];\n"
-      "ADD R5, R1, R3;\n"
-      "MAD result.color, R4, c[2], R5;\n"
+      "SUB R2, fragment.texcoord[0], c[0];\n"
+      "TEX R3, R2, texture[1];\n"
+      "ADD R4, fragment.texcoord[0], c[1];\n"
+      "TEX R5, R4, texture[0];\n"
+      "ADD R6, R1, R3;\n"
+      "MAD result.color, R5, c[2], R6;\n"
       "END\n");
-  const float4 constants[3] = {{-3, 0, 0, 0}, {-2, 0, 0, 0}, {0.5f, 0, 0, 0}};
-  std::vector<float> data(static_cast<std::size_t>(kW));
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>(i % 1021) * 0.125f - 17.f;
-  }
-
+  constexpr float kEdge = 1 << 20;
+  const float4 constants[3] = {
+      {kEdge, -kEdge, 0, 0}, {kEdge + 1, kEdge + 1, 0, 0}, {0.5f, 0, 0, 0}};
   EnginePair pair(2);
-  TextureHandle out[2];
-  PassStats stats[2];
   Device* devs[2] = {&pair.interp, &pair.soa};
-  for (int d = 0; d < 2; ++d) {
-    const TextureHandle in = devs[d]->create_texture(kW, 1, TextureFormat::R32F);
-    out[d] = devs[d]->create_texture(kW, 1, TextureFormat::R32F);
-    devs[d]->upload(in, std::span<const float>(data));
-    const TextureHandle ins[1] = {in};
-    const TextureHandle outs[1] = {out[d]};
-    stats[d] = devs[d]->draw(p, ins, constants, outs);
+  for (const auto& [w, h] : {std::pair{kMaxTextureDim, 1},
+                            std::pair{1, kMaxTextureDim}}) {
+    SCOPED_TRACE(::testing::Message() << w << "x" << h);
+    std::vector<float> data(static_cast<std::size_t>(w) * h);
+    std::vector<TextureHandle> ins[2];
+    TextureHandle out[2];
+    for (int d = 0; d < 2; ++d) {
+      ins[d] = {devs[d]->create_texture(w, h, TextureFormat::R32F,
+                                        AddressMode::Repeat),
+                devs[d]->create_texture(w, h, TextureFormat::R32F)};
+      out[d] = devs[d]->create_texture(w, h, TextureFormat::R32F);
+    }
+    for (int draw = 0; draw < 2; ++draw) {
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<float>((i + 7 * draw) % 1021) * 0.125f - 17.f;
+      }
+      PassStats stats[2];
+      for (int d = 0; d < 2; ++d) {
+        for (TextureHandle in : ins[d]) {
+          devs[d]->upload(in, std::span<const float>(data));
+        }
+        const TextureHandle outs[1] = {out[d]};
+        stats[d] = devs[d]->draw(p, ins[d], constants, outs);
+      }
+      EXPECT_EQ(stats[0].fragments, static_cast<std::uint64_t>(w) * h);
+      expect_identical_stats(stats[0], stats[1]);
+      expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
+    }
+    std::vector<const Texture2D*> bound;
+    for (TextureHandle t : ins[1]) {
+      bound.push_back(&std::as_const(pair.soa).texture(t));
+    }
+    const SoaProgram sp = lower_soa(std::make_shared<const CompiledProgram>(
+        compile_program(p, constants, bound)));
+    using Mode = SoaFetchPlan::Mode;
+    ASSERT_EQ(sp.fetch.size(), 3u);
+    EXPECT_EQ(sp.fetch[0].mode, Mode::Static);
+    EXPECT_EQ(sp.fetch[0].dx, 1 << 20);
+    EXPECT_EQ(sp.fetch[1].mode, Mode::Static);
+    EXPECT_EQ(sp.fetch[1].dy, 1 << 20);
+    EXPECT_EQ(sp.fetch[2].mode, Mode::Dynamic);
   }
-  EXPECT_EQ(stats[0].fragments, static_cast<std::uint64_t>(kW));
-  expect_identical_stats(stats[0], stats[1]);
-  expect_identical_texels(pair.interp, out[0], pair.soa, out[1]);
-  // Past the bound the replay memo does not apply either.
-  EXPECT_EQ(pair.soa.replay_memo_misses(), 0u);
+  // Each viewport records once and serves its redraw from the memo.
+  EXPECT_EQ(pair.soa.replay_memo_misses(), 2u);
+  EXPECT_EQ(pair.soa.replay_memo_hits(), 2u);
 }
 
 // ---- replay memo ------------------------------------------------------------
@@ -1170,19 +1137,6 @@ TEST(SoaStaticFusion, CentreReadByPlainAluStaysPinned) {
       EXPECT_EQ(plan.store_skip, (std::vector<char>{0, 1, 1, 1}));
     }
   }
-}
-
-TEST(SoaStaticFusion, WideViewportRunsAllDynamic) {
-  // Past the 2^21 exactness bound every fetch takes the dynamic path, and
-  // the fused chain reads the index rows the dynamic resolve fills. One
-  // texture on both units keeps the footprint down.
-  const FragmentProgram p = assemble_or_die(
-      "cumdist_single", core::shaders::cumulative_distance_single_source());
-  const float4 offset{-2, 0, 0, 0};
-  const FusionPlan plan = expect_fusion_matches_interpreter(
-      p, std::span(&offset, 1), (1 << 21) + 8, 1, TextureFormat::RGBA32F,
-      AddressMode::ClampToEdge, TextureFormat::R32F, /*shared=*/true);
-  EXPECT_EQ(plan.active, 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz,

@@ -277,12 +277,15 @@ echo "==> SoA engine (two-way fuzz oracle + parallel determinism, ASan/UBSan)"
 # drive one device's pipe runners at {1,2,3,4,7} on both sides of the
 # dispatch grain, in pipe slices and in runner slices; the BandStack tests
 # cover the strided band upload; the Xoshiro256 and SyntheticScene tests
-# cover the batched normal draws, which fill fixed-size stack arrays.
+# cover the batched normal draws, which fill fixed-size stack arrays; the
+# Chunker tests and AmcGpu.BitIdentical (a scene wider than the texture
+# limit) cover the chunk planner's tile sizing against that limit.
 # Re-run them by name under ASan/UBSan so an out-of-bounds lane loop, a
-# stale plane read, a bad stride or a batch overrun fails fast even when
-# extra ctest args filtered them out of the main sanitizer pass.
+# stale plane read, a bad stride, a batch overrun or an oversize chunk
+# fails fast even when extra ctest args filtered them out of the main
+# sanitizer pass.
 ctest --test-dir build-sanitize --output-on-failure \
-  -R 'ProgramFuzz|ReplayMemo|SoaStaticFusion|ParallelPipeline\.Soa|Device\.|BandStack|Xoshiro256|SyntheticScene' -j "$JOBS"
+  -R 'ProgramFuzz|ReplayMemo|SoaStaticFusion|ParallelPipeline\.Soa|Device\.|BandStack|Xoshiro256|SyntheticScene|Chunker|AmcGpu\.BitIdentical' -j "$JOBS"
 
 echo "==> ThreadSanitizer (concurrency suite)"
 # TSan slows execution ~10x, so run the tests that exercise real
