@@ -177,9 +177,9 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
   }
 
   // ---- chunk plan ----------------------------------------------------------
-  // The planning device never draws (so it starts no helper threads); it
-  // exists so the auto budget sees the profile's full video memory --
-  // exactly what every (fresh) worker device will have.
+  // The planning device never draws; it exists so the auto budget sees
+  // the profile's full video memory -- exactly what every (fresh) worker
+  // device will have.
   gpusim::Device planner(options.profile, sim);
   const int halo = 2 * se.radius;
   const std::uint64_t budget =
@@ -212,13 +212,6 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
       std::max<std::size_t>(1, plan.chunks.size()),
       stream::resolve_workers(options.workers));
   gpusim::SimConfig worker_sim = sim;
-  if (workers > 1 && sim.worker_threads == 0) {
-    // Concurrent devices share the host: split the runners one sequential
-    // device would auto-size across the workers instead of nesting full
-    // pools. Functional results are independent of worker_threads.
-    worker_sim.worker_threads =
-        stream::per_worker_device_threads(planner.runners(), workers);
-  }
   if (workers > 1 && !worker_sim.shared_programs) {
     // Worker clones re-draw the same few programs; share one lowering.
     worker_sim.shared_programs = std::make_shared<gpusim::SharedProgramStore>();

@@ -139,9 +139,9 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
       gpusim::assemble_or_die("argmax", argmax_source(c));
 
   // ---- device & chunking (no halo: per-pixel work) --------------------------
-  // The planning device never draws (so it starts no helper threads);
-  // worker devices are blank clones with the same free video memory, so
-  // the auto budget holds for all of them.
+  // The planning device never draws; worker devices are blank clones
+  // with the same free video memory, so the auto budget holds for all of
+  // them.
   gpusim::Device planner(options.profile, options.sim);
   const std::uint64_t per_texel = static_cast<std::uint64_t>(groups) * 16 +
                                   2 * 4 +
@@ -184,10 +184,6 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
   worker_sim.program_cache_capacity =
       std::max(worker_sim.program_cache_capacity,
                static_cast<std::size_t>(c * groups + 8));
-  if (workers > 1 && options.sim.worker_threads == 0) {
-    worker_sim.worker_threads =
-        stream::per_worker_device_threads(planner.runners(), workers);
-  }
   if (workers > 1 && !worker_sim.shared_programs) {
     // Worker clones re-draw the same few programs; share one lowering.
     worker_sim.shared_programs = std::make_shared<gpusim::SharedProgramStore>();

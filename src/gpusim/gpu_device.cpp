@@ -11,43 +11,16 @@
 namespace hs::gpusim {
 
 namespace {
-/// SimConfig::worker_threads resolved: at least one runner, at most one
-/// per logical pipe.
-std::size_t resolve_runners(const SimConfig& config, int pipes) {
-  const auto max = static_cast<std::size_t>(pipes);
-  if (config.worker_threads > 0) return std::min(config.worker_threads, max);
-  return util::ThreadPool::clamp_to_hardware(max);
-}
-
-/// Work one runner must have before a pass adds it, in the units of
-/// Device::pass_runners: ALU instructions plus 4 per texture fetch, the
-/// counts the engines charge per fragment. A traced amc_scene job
-/// (128x128x64 in 9 chunks of 48x48 to 64x64 texels, SoA, on a 4-CPU
-/// host) runs 712 passes. Its 463 `clear`, `band_sum`, `normalize`,
-/// `weighted_sum` and `pack_*` passes carry 2K-45K units and took a median
-/// 10-32 us inline but 27-56 us over five threads, so for them the
-/// fork-join costs more than the pass. The heavy passes run at 0.8-5 ns
-/// per unit (`cumdist_fused`: 302K units in 234 us inline), so 32K units
-/// give each added runner 25 us or more of its own work, more than the
-/// 10-20 us a fork-join adds. With this grain those 463 passes (and the
-/// 2K-45K-unit `log` passes) run inline, `argmax` (66K) and `mei`
-/// (69K-123K) take 2-3 runners, and `minmax_offsets` (223K-397K) and
-/// `cumdist_fused` (302K-537K) take every runner.
-constexpr std::uint64_t kPassGrain = 32768;
-
 /// Attaches the pass statistics to its trace span: the modeled time next
 /// to the span's own wall duration, the work counters, both DRAM traffic
 /// estimates (cache-miss bytes and compulsory unique-tile bytes) and, with
 /// the cache model on, how the cache totals were obtained (`replay`:
-/// "full" replay or reused from the "memo"), how many host threads ran
-/// the pass (`runners`) and in how many slices (`slices`: logical pipes
-/// when the pass replays, runners when it does not).
+/// "full" replay or reused from the "memo") and in how many slices the
+/// pass ran (`slices`: the logical pipes when it replays, else 1).
 void annotate_pass_span(trace::Span& span, const PassStats& stats,
-                        const char* replay, std::size_t runners,
-                        std::size_t slices) {
+                        const char* replay, std::size_t slices) {
   if (!span.active()) return;
   if (replay != nullptr) span.arg("replay", replay);
-  span.arg("runners", static_cast<double>(runners));
   span.arg("slices", static_cast<double>(slices));
   span.arg("width", stats.width);
   span.arg("height", stats.height);
@@ -80,6 +53,41 @@ void annotate_engine_path(trace::Span& span, const SoaProgram* soa,
   span.arg("fused", static_cast<double>(soa_active_fusions(*soa, textures)));
 }
 
+/// Texel storage of `outs` (four floats per texel, row-major) from a
+/// strided float source, one source pixel at a time: channel c of texel
+/// (x, y) is origin[x * x_stride + y * y_stride + c * channel_stride] and
+/// goes to component c % 4 of outs[c / 4]; components past the last
+/// channel are 0.
+template <bool kHalf>
+void write_pixel_major(std::span<float* const> outs, const float* origin,
+                       std::ptrdiff_t x_stride, std::ptrdiff_t y_stride,
+                       std::ptrdiff_t channel_stride, int channels, int width,
+                       int height) {
+  const auto store = [channel_stride](float* dst, const float* src, int lanes) {
+    for (int c = 0; c < 4; ++c) {
+      const float v = c < lanes ? src[c * channel_stride] : 0.f;
+      dst[c] = kHalf ? quantize_half(v) : v;
+    }
+  };
+  const std::size_t full = static_cast<std::size_t>(channels / 4);
+  const int tail = channels % 4;
+  const std::ptrdiff_t group_stride = 4 * channel_stride;
+  std::size_t i = 0;  // float offset of texel (x, y) in every texture
+  for (int y = 0; y < height; ++y) {
+    const float* row = origin + static_cast<std::ptrdiff_t>(y) * y_stride;
+    for (int x = 0; x < width; ++x, i += 4) {
+      const float* texel = row + static_cast<std::ptrdiff_t>(x) * x_stride;
+      for (std::size_t g = 0; g < full; ++g) {
+        store(outs[g] + i, texel + static_cast<std::ptrdiff_t>(g) * group_stride, 4);
+      }
+      if (tail > 0) {
+        store(outs[full] + i, texel + static_cast<std::ptrdiff_t>(full) * group_stride,
+              tail);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 bool parse_exec_engine(std::string_view name, ExecEngine& out) {
@@ -106,10 +114,7 @@ Device::Device(DeviceProfile profile, SimConfig config)
       config_(config),
       program_cache_(config.program_cache_capacity),
       trace_memo_hits_(&trace::counter("gpusim.replay_memo.hit")),
-      trace_memo_misses_(&trace::counter("gpusim.replay_memo.miss")),
-      trace_dispatch_inline_(&trace::counter("gpusim.dispatch.inline")),
-      trace_dispatch_fanout_(&trace::counter("gpusim.dispatch.fanout")),
-      runners_(resolve_runners(config, profile_.fragment_pipes)) {
+      trace_memo_misses_(&trace::counter("gpusim.replay_memo.miss")) {
   HS_ASSERT(profile_.fragment_pipes > 0);
   program_cache_.set_shared_store(config_.shared_programs);
   TextureCacheConfig cache_config;
@@ -197,10 +202,7 @@ void Device::upload(TextureHandle handle, std::span<const float4> texels) {
     std::memcpy(out, texels.data(), texels.size() * sizeof(float4));
   }
   const std::uint64_t bytes = tex.size_bytes();
-  const double modeled = model_upload_time(profile_.bus, bytes);
-  totals_.transfer.upload_bytes += bytes;
-  totals_.transfer.uploads += 1;
-  totals_.transfer.modeled_upload_seconds += modeled;
+  const double modeled = count_upload(bytes);
   span.arg("bytes", static_cast<double>(bytes));
   span.arg("modeled_us", modeled * 1e6);
 }
@@ -219,12 +221,49 @@ void Device::upload(TextureHandle handle, std::span<const float> scalars) {
     std::copy(scalars.begin(), scalars.end(), tex.raw().begin());
   }
   const std::uint64_t bytes = tex.size_bytes();
+  const double modeled = count_upload(bytes);
+  span.arg("bytes", static_cast<double>(bytes));
+  span.arg("modeled_us", modeled * 1e6);
+}
+
+void Device::upload(std::span<const TextureHandle> handles, const float* origin,
+                    std::ptrdiff_t x_stride, std::ptrdiff_t y_stride,
+                    std::ptrdiff_t channel_stride, int channels) {
+  trace::Span span("upload", "xfer");
+  HS_ASSERT(!handles.empty() &&
+            channels > 4 * (static_cast<int>(handles.size()) - 1) &&
+            channels <= 4 * static_cast<int>(handles.size()));
+  std::vector<float*> outs;
+  outs.reserve(handles.size());
+  const Texture2D& first = slot(handles.front());
+  for (TextureHandle handle : handles) {
+    Texture2D& tex = texture(handle);
+    HS_ASSERT(channels_of(tex.format()) == 4 &&
+              tex.format() == first.format() &&
+              tex.width() == first.width() && tex.height() == first.height());
+    outs.push_back(tex.raw().data());
+  }
+  if (is_half_format(first.format())) {
+    write_pixel_major<true>(outs, origin, x_stride, y_stride, channel_stride,
+                            channels, first.width(), first.height());
+  } else {
+    write_pixel_major<false>(outs, origin, x_stride, y_stride, channel_stride,
+                             channels, first.width(), first.height());
+  }
+  double modeled = 0;
+  for (std::size_t t = 0; t < handles.size(); ++t) {
+    modeled += count_upload(first.size_bytes());
+  }
+  span.arg("bytes", static_cast<double>(first.size_bytes() * handles.size()));
+  span.arg("modeled_us", modeled * 1e6);
+}
+
+double Device::count_upload(std::uint64_t bytes) {
   const double modeled = model_upload_time(profile_.bus, bytes);
   totals_.transfer.upload_bytes += bytes;
   totals_.transfer.uploads += 1;
   totals_.transfer.modeled_upload_seconds += modeled;
-  span.arg("bytes", static_cast<double>(bytes));
-  span.arg("modeled_us", modeled * 1e6);
+  return modeled;
 }
 
 std::vector<float4> Device::download(TextureHandle handle) {
@@ -369,44 +408,16 @@ PassCacheTotals Device::collect_cache_totals(
   return totals;
 }
 
-std::size_t Device::pass_runners(const FragmentProgram& program,
-                                 std::uint64_t fragments) const {
-  const std::uint64_t work =
-      fragments * static_cast<std::uint64_t>(program.alu_instruction_count() +
-                                             4 * program.tex_instruction_count());
-  return std::clamp<std::size_t>(static_cast<std::size_t>(work / kPassGrain), 1,
-                                 runners_);
-}
-
-void Device::run_slices(std::size_t slices, std::size_t runners,
-                        const std::function<void(std::size_t)>& run_slice) {
-  if (runners <= 1) {
-    ++passes_inline_;
-    trace_dispatch_inline_->increment();
-    for (std::size_t s = 0; s < slices; ++s) run_slice(s);
-    return;
-  }
-  ++passes_fanned_out_;
-  trace_dispatch_fanout_->increment();
-  if (!pool_) pool_ = std::make_unique<util::ThreadPool>(runners_ - 1);
-  // One index per runner (the pool's blocks are single indices while
-  // runners <= its threads + 1), each a contiguous range of slices.
-  pool_->parallel_for(runners, [&](std::size_t r) {
-    const std::size_t end = (r + 1) * slices / runners;
-    for (std::size_t s = r * slices / runners; s < end; ++s) run_slice(s);
-  });
-}
-
 PassStats Device::finalize_pass(const FragmentProgram& program,
                                 const BoundPass& bound, std::uint64_t fragments,
-                                std::span<const ExecCounters> slice_counters,
+                                const ExecCounters& exec,
                                 const PassCacheTotals& cache) {
   PassStats stats;
   stats.program = program.name;
   stats.width = bound.width;
   stats.height = bound.height;
   stats.fragments = fragments;
-  for (const ExecCounters& c : slice_counters) stats.exec += c;
+  stats.exec = exec;
   stats.cache = cache.cache;
   stats.cache_miss_bytes = cache.miss_bytes;
   stats.unique_tile_bytes = cache.unique_tile_bytes;
@@ -492,32 +503,30 @@ PassStats Device::draw(const FragmentProgram& program,
     for (auto& cache : pipe_caches_) cache.flush();
   }
 
-  // A replaying pass runs one contiguous row block per logical pipe:
-  // deterministic partitioning that is independent of the host thread
-  // count, so cache statistics and modeled times are reproducible
-  // everywhere. Blocks are aligned to the texture-cache tile height,
-  // mirroring real rasterizers' screen-space tiling -- otherwise tiles
-  // straddling two pipes would be fetched into both L1s and the modeled
-  // memory traffic would be inflated. A pass that replays nothing has no
-  // per-pipe state, and its outputs and analytic counters do not depend
-  // on the partition: it runs one row range per runner.
-  const std::size_t runners = pass_runners(
-      program, static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height));
-  const std::size_t slices = replays ? static_cast<std::size_t>(pipes) : runners;
-  std::vector<ExecCounters> slice_counters(slices);
+  // The pass runs on this thread. A replaying pass runs one contiguous
+  // row block per logical pipe, in pipe order: deterministic partitioning,
+  // so cache statistics and modeled times are reproducible everywhere.
+  // Blocks are aligned to the texture-cache tile height, mirroring real
+  // rasterizers' screen-space tiling -- otherwise tiles straddling two
+  // pipes would be fetched into both L1s and the modeled memory traffic
+  // would be inflated. A pass that replays nothing has no per-pipe state,
+  // and its outputs and analytic counters do not depend on the partition:
+  // it runs all rows as one slice.
+  const std::size_t slices = replays ? static_cast<std::size_t>(pipes) : 1;
+  ExecCounters counters;
   const int tile_rows = (height + kTrackerTile - 1) / kTrackerTile;
   const auto first_row = [&](std::size_t s) {
     const int i = static_cast<int>(s);
     return replays ? std::min(height, kTrackerTile * (i * tile_rows / pipes))
-                   : i * height / static_cast<int>(slices);
+                   : i * height;
   };
-  auto run_slice = [&](std::size_t s) {
+  for (std::size_t s = 0; s < slices; ++s) {
     const int y_begin = first_row(s);
     const int y_end = first_row(s + 1);
     if (soa != nullptr) {
       run_soa_rows(*soa, soa_bindings(bound, s, pipe_tiles), width, y_begin,
-                   y_end, slice_counters[s]);
-      return;
+                   y_end, counters);
+      continue;
     }
     FragmentContext ctx;
     ctx.constants = constants;
@@ -525,7 +534,6 @@ PassStats Device::draw(const FragmentProgram& program,
     ctx.texture_ids = bound.input_ids;
     ctx.cache = replays ? &pipe_caches_[s] : nullptr;
     ctx.tiles = replays ? &pipe_tiles[s] : nullptr;
-    ExecCounters& counters = slice_counters[s];
     for (int y = y_begin; y < y_end; ++y) {
       for (int x = 0; x < width; ++x) {
         ctx.texcoord[0] = {static_cast<float>(x) + 0.5f,
@@ -538,8 +546,7 @@ PassStats Device::draw(const FragmentProgram& program,
         }
       }
     }
-  };
-  run_slices(slices, runners, run_slice);
+  }
 
   PassCacheTotals cache_totals;
   if (memoized != nullptr) {
@@ -551,10 +558,10 @@ PassStats Device::draw(const FragmentProgram& program,
   const PassStats stats = finalize_pass(
       program, bound,
       static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height),
-      slice_counters, cache_totals);
+      counters, cache_totals);
   const char* replay = nullptr;
   if (config_.texture_cache) replay = memoized != nullptr ? "memo" : "full";
-  annotate_pass_span(span, stats, replay, runners, slices);
+  annotate_pass_span(span, stats, replay, slices);
   annotate_engine_path(span, soa.get(), bound.inputs);
   return stats;
 }

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -32,7 +31,6 @@
 #include "gpusim/texture_cache.hpp"
 #include "gpusim/timing_model.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hs::gpusim {
 
@@ -62,14 +60,6 @@ bool parse_exec_engine(std::string_view name, ExecEngine& out);
 const char* exec_engine_name(ExecEngine engine);
 
 struct SimConfig {
-  /// Host threads that may execute one pass ("runners"), the drawing
-  /// thread included; clamped to the profile's fragment pipes. 0 = auto
-  /// (min(hardware_concurrency, fragment_pipes)). The device starts
-  /// runners - 1 helper threads, on its first pass that fans out, and
-  /// sizes each pass's fan-out to its work (see Device::draw). Functional
-  /// results and all statistics are independent of this value: work and
-  /// caches are partitioned by *logical* pipe, threads only multiplex them.
-  std::size_t worker_threads = 0;
   /// Simulate the per-pipe texture cache (stats + timing). Off = every
   /// fetch is modeled as full-texel memory traffic.
   bool texture_cache = true;
@@ -159,15 +149,10 @@ class Device {
   const DeviceProfile& profile() const { return profile_; }
   const SimConfig& config() const { return config_; }
 
-  /// A fresh device with the same profile and simulation config but no
-  /// textures, empty caches, and zeroed totals — what a chunk-parallel
+  /// A fresh device with the same profile, the given simulation config,
+  /// no textures, empty caches and zeroed totals -- what a chunk-parallel
   /// worker needs: the hardware model is shared (profiles are value
-  /// types), the mutable state is private. `config` overrides, when
-  /// given, replace this device's SimConfig (e.g. fewer host threads per
-  /// worker so concurrent devices do not oversubscribe the machine).
-  std::unique_ptr<Device> clone_blank() const {
-    return std::make_unique<Device>(profile_, config_);
-  }
+  /// types), the mutable state is private.
   std::unique_ptr<Device> clone_blank(const SimConfig& config) const {
     return std::make_unique<Device>(profile_, config);
   }
@@ -195,6 +180,15 @@ class Device {
   /// Uploads row-major texel data; size must match width*height.
   void upload(TextureHandle handle, std::span<const float4> texels);
   void upload(TextureHandle handle, std::span<const float> scalars);
+  /// Uploads `channels` strided float channels into the four-channel
+  /// textures `handles`, all of one size: channel c of texel (x, y) is
+  /// origin[x * x_stride + y * y_stride + c * channel_stride] and lands in
+  /// component c % 4 of handles[c / 4]; components past the last channel
+  /// are 0. One pixel-major pass writes texture storage directly, and each
+  /// texture counts as one upload.
+  void upload(std::span<const TextureHandle> handles, const float* origin,
+              std::ptrdiff_t x_stride, std::ptrdiff_t y_stride,
+              std::ptrdiff_t channel_stride, int channels);
   std::vector<float4> download(TextureHandle handle);
   std::vector<float> download_scalar(TextureHandle handle);
 
@@ -212,10 +206,10 @@ class Device {
   /// of those textures, so it replays the cache model again only after
   /// one of them was written.
   ///
-  /// A pass that replays runs as one slice per logical pipe, since each
-  /// pipe's cache and tile tracker see only its own rows. A pass that
-  /// replays nothing (a memo hit, or the cache model off) runs as one
-  /// contiguous row slice per runner it takes.
+  /// The pass runs on the calling thread. A pass that replays runs as
+  /// one slice per logical pipe, in pipe order, since each pipe's cache
+  /// and tile tracker see only its own rows. A pass that replays nothing
+  /// (a memo hit, or the cache model off) runs as one slice of all rows.
   PassStats draw(const FragmentProgram& program,
                  std::span<const TextureHandle> inputs,
                  std::span<const float4> constants,
@@ -234,17 +228,6 @@ class Device {
   /// recorded them.
   std::uint64_t replay_memo_hits() const { return replay_memo_hits_; }
   std::uint64_t replay_memo_misses() const { return replay_memo_misses_; }
-
-  /// Most host threads one pass may run on: the resolved
-  /// SimConfig::worker_threads.
-  std::size_t runners() const { return runners_; }
-  /// Passes run whole on the drawing thread vs fanned out over several
-  /// runners (for tests and tools).
-  std::uint64_t passes_inline() const { return passes_inline_; }
-  std::uint64_t passes_fanned_out() const { return passes_fanned_out_; }
-  /// Helper threads started so far: 0 until the first pass that fans
-  /// out, runners() - 1 after it.
-  std::size_t helper_threads() const { return pool_ ? pool_->thread_count() : 0; }
 
  private:
   struct Slot {
@@ -270,17 +253,12 @@ class Device {
                            std::span<TileTouchTracker> pipe_tiles);
   PassCacheTotals collect_cache_totals(
       const BoundPass& bound, std::span<const TileTouchTracker> pipe_tiles);
-  /// Runners a pass of `fragments` fragments of `program` pays for.
-  std::size_t pass_runners(const FragmentProgram& program,
-                           std::uint64_t fragments) const;
-  /// Runs run_slice(s) for every s in [0, slices) on `runners` host
-  /// threads (at most `slices`), each taking a contiguous range of slices;
-  /// one runner runs them in order on the calling thread.
-  void run_slices(std::size_t slices, std::size_t runners,
-                  const std::function<void(std::size_t)>& run_slice);
+  /// Counts one upload of `bytes` against the bus model; returns its
+  /// modeled seconds.
+  double count_upload(std::uint64_t bytes);
   PassStats finalize_pass(const FragmentProgram& program, const BoundPass& bound,
                           std::uint64_t fragments,
-                          std::span<const ExecCounters> slice_counters,
+                          const ExecCounters& exec,
                           const PassCacheTotals& cache);
 
   Texture2D& slot(TextureHandle handle) const;
@@ -295,15 +273,9 @@ class Device {
   ReplayMemo replay_memo_;
   std::uint64_t replay_memo_hits_ = 0;
   std::uint64_t replay_memo_misses_ = 0;
-  std::uint64_t passes_inline_ = 0;
-  std::uint64_t passes_fanned_out_ = 0;
   // Process-global trace counters, like ProgramCache's.
   trace::Counter* trace_memo_hits_;
   trace::Counter* trace_memo_misses_;
-  trace::Counter* trace_dispatch_inline_;
-  trace::Counter* trace_dispatch_fanout_;
-  std::size_t runners_;
-  std::unique_ptr<util::ThreadPool> pool_;  // runners_ - 1 helpers, lazily
   DeviceTotals totals_;
 };
 

@@ -43,8 +43,9 @@
 // which units share a texture. Device::draw() replays such a pass once,
 // records its totals in the device's ReplayMemo (compiled_program.hpp),
 // and runs later passes with the same key -- other programs with the same
-// fetch pattern too -- with no cache or tracker bound, one row slice per
-// runner. The executor itself replays whenever its bindings carry a cache.
+// fetch pattern too -- with no cache or tracker bound, as one slice of
+// all rows. The executor itself replays whenever its bindings carry a
+// cache.
 //
 // A small gather->ALU fusion pass further removes plane traffic: a
 // componentwise ADD/SUB/MUL whose two sources are identity reads of

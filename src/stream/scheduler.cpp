@@ -28,11 +28,6 @@ std::size_t resolve_workers(std::size_t requested) {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-std::size_t per_worker_device_threads(std::size_t sequential_threads,
-                                      std::size_t workers) {
-  return std::max<std::size_t>(1, sequential_threads / std::max<std::size_t>(1, workers));
-}
-
 ChunkScheduler::ChunkScheduler(std::size_t workers)
     : workers_(std::max<std::size_t>(1, workers)),
       pool_(workers_ > 1 ? workers_ : 0) {}

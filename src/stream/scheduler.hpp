@@ -26,14 +26,6 @@ namespace hs::stream {
 /// anything else is taken literally. Always >= 1.
 std::size_t resolve_workers(std::size_t requested);
 
-/// Splits the runners a single sequential device would use (host threads
-/// that execute a pass, drawing thread included; see
-/// gpusim::SimConfig::worker_threads) across `workers` concurrent devices,
-/// at least one each, so a chunk-parallel run does not oversubscribe the
-/// machine with nested pools.
-std::size_t per_worker_device_threads(std::size_t sequential_threads,
-                                      std::size_t workers);
-
 class ChunkScheduler {
  public:
   /// `workers` >= 1. One worker runs every job inline on the calling

@@ -1,12 +1,8 @@
 #include "stream/stream.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace hs::stream {
-
-using gpusim::float4;
 
 BandStack::BandStack(gpusim::Device& device, int width, int height, int bands,
                      gpusim::AddressMode address, gpusim::TextureFormat format)
@@ -39,26 +35,7 @@ BandStack::BandStack(BandStack&& other) noexcept
 
 void BandStack::upload(const float* origin, std::ptrdiff_t x_stride,
                        std::ptrdiff_t y_stride, std::ptrdiff_t band_stride) {
-  std::vector<float4> staging(static_cast<std::size_t>(width_) *
-                              static_cast<std::size_t>(height_));
-  for (int g = 0; g < groups(); ++g) {
-    const int lanes = std::min(4, bands_ - g * 4);
-    const float* group = origin + static_cast<std::ptrdiff_t>(g) * 4 * band_stride;
-    float4* out = staging.data();
-    for (int y = 0; y < height_; ++y) {
-      const float* row = group + static_cast<std::ptrdiff_t>(y) * y_stride;
-      for (int x = 0; x < width_; ++x, ++out) {
-        const float* texel = row + static_cast<std::ptrdiff_t>(x) * x_stride;
-        float4 v(0.f);
-        for (int c = 0; c < lanes; ++c) {
-          v[static_cast<std::size_t>(c)] = texel[c * band_stride];
-        }
-        *out = v;
-      }
-    }
-    device_->upload(textures_[static_cast<std::size_t>(g)],
-                    std::span<const float4>(staging));
-  }
+  device_->upload(textures_, origin, x_stride, y_stride, band_stride, bands_);
 }
 
 std::uint64_t BandStack::size_bytes() const {

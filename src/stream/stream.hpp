@@ -45,8 +45,8 @@ class BandStack {
   gpusim::TextureHandle group(int g) const { return textures_[static_cast<std::size_t>(g)]; }
   std::span<const gpusim::TextureHandle> handles() const { return textures_; }
 
-  /// Uploads spectra from strided host memory, one bus transfer per group
-  /// texture: band b of chunk-local texel (x, y) is
+  /// Uploads spectra from strided host memory in one pixel-major pass,
+  /// one bus transfer per group texture: band b of chunk-local texel (x, y) is
   /// origin[x * x_stride + y * y_stride + b * band_stride] (strides in
   /// floats, as hsi::HyperCube::strides() gives them for any interleave).
   void upload(const float* origin, std::ptrdiff_t x_stride,

@@ -139,11 +139,6 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-std::size_t ThreadPool::clamp_to_hardware(std::size_t requested) {
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::min(requested, hw);
-}
-
 TaskGroup::~TaskGroup() {
   try {
     wait();

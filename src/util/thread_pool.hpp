@@ -1,13 +1,10 @@
 // Fixed-size thread pool with a blocking parallel_for and waitable task
 // groups.
 //
-// The GPU simulator partitions each rendering pass across its simulated
-// fragment pipes; a pass with enough work runs those partitions on this
-// pool (see gpusim::Device). The chunk scheduler (stream/scheduler.hpp)
-// runs whole pipeline chunks on a second pool. Callers size their pools
-// from hardware_concurrency, and functional results never depend on the
-// size: work is split by *logical* index, and a smaller pool simply
-// multiplexes indices onto fewer OS threads.
+// The chunk scheduler (stream/scheduler.hpp) runs whole pipeline chunks
+// on this pool. Functional results never depend on its size: work is
+// split by *logical* index, and a smaller pool simply multiplexes indices
+// onto fewer OS threads.
 //
 // Every blocking wait in this file *helps*: while waiting for its own work
 // to finish, the waiter pops and executes queued tasks. That makes nested
@@ -58,9 +55,6 @@ class ThreadPool {
   /// destroyed run during destruction. `task` must not throw -- an escaped
   /// exception is caught and logged, never propagated.
   void submit(std::function<void()> task);
-
-  /// Convenience: clamps `requested` against std::thread::hardware_concurrency.
-  static std::size_t clamp_to_hardware(std::size_t requested);
 
  private:
   friend class TaskGroup;

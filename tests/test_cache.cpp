@@ -473,7 +473,6 @@ TEST(CacheProgramStore, SharedStoreKeepsDeviceResultsBitIdentical) {
   // produce identical pass results and counters for the same draw.
   const auto run = [](std::shared_ptr<gpusim::SharedProgramStore> store) {
     gpusim::SimConfig config;
-    config.worker_threads = 1;
     config.shared_programs = std::move(store);
     gpusim::Device device(gpusim::geforce_7800_gtx(), config);
     const auto tex = device.create_texture(8, 8, gpusim::TextureFormat::R32F);

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/shaders.hpp"
 #include "gpusim/assembler.hpp"
 
 namespace hs::gpusim {
@@ -200,13 +202,8 @@ TEST(Device, MrtWritesAllTargets) {
   EXPECT_EQ(stats.bytes_written, 16u * 4 * 2);
 }
 
-// Programs on either side of the dispatch grain. On a 68x68 viewport
-// (17 tile rows over 24 pipes, so pipes hold 0 or 1 tile rows and runner
-// ranges are uneven) `light` is 5 work units per fragment and runs inline;
-// `heavy` -- a data-dependent fetch, three more fetches and 40 ALU
-// instructions, 56 units per fragment -- fans out to every runner.
-constexpr int kGrainViewport = 68;
-
+// `light` reads one texel and squares it; `heavy` runs a data-dependent
+// fetch, three more fetches and 40 ALU instructions.
 FragmentProgram light_program() {
   return assemble_or_die("light",
                          "!!HSFP1.0\n"
@@ -250,52 +247,11 @@ void expect_same_pass(const PassStats& a, const PassStats& b) {
   EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
 }
 
-struct GrainRun {
-  std::vector<PassStats> stats;  // light, heavy
-  std::vector<std::vector<float4>> images;
-  std::uint64_t inline_passes = 0;
-  std::uint64_t fanned_out_passes = 0;
-};
-
-/// Draws the light and heavy programs on a 24-pipe device with `threads`
-/// runners.
-GrainRun run_grain_passes(std::size_t threads, ExecEngine engine) {
-  SimConfig cfg;
-  cfg.worker_threads = threads;
-  cfg.exec_engine = engine;
-  Device dev(geforce_7800_gtx(), cfg);
-  const int n = kGrainViewport;
-  const TextureHandle in = dev.create_texture(n, n, TextureFormat::RGBA32F);
-  std::vector<float4> data(static_cast<std::size_t>(n * n));
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    // x and y in texels, so the dependent fetch lands all over the image.
-    data[i] = {static_cast<float>((i * 37) % 71) - 1.5f,
-               static_cast<float>((i * 11) % 70), static_cast<float>(i % 5),
-               1.f};
-  }
-  dev.upload(in, std::span<const float4>(data));
-
-  GrainRun run;
-  const TextureHandle ins[1] = {in};
-  for (int pass = 0; pass < 2; ++pass) {
-    const TextureHandle out = dev.create_texture(n, n, TextureFormat::RGBA32F);
-    const TextureHandle outs[1] = {out};
-    run.stats.push_back(
-        dev.draw(pass == 0 ? light_program() : heavy_program(), ins, {}, outs));
-    run.images.push_back(dev.download(out));
-  }
-  run.inline_passes = dev.passes_inline();
-  run.fanned_out_passes = dev.passes_fanned_out();
-  return run;
-}
-
 // Slicing: a pass that replays the cache model runs one slice per
 // logical pipe; one that replays nothing (a memo hit, or the cache model
-// off) one row range per runner. Outputs and every PassStats field must
-// not depend on either. On a 1100-texel-wide viewport (four full
-// 256-fragment tiles and a partial one per row), `heavy_static` is 65
-// units per fragment, so even one row takes two runners and leaves the
-// first of its two slices empty.
+// off) runs all rows as one slice. Outputs and every PassStats field must
+// not depend on either. A 1100-texel-wide viewport has four full
+// 256-fragment tiles and a partial one per row.
 constexpr int kSliceWidth = 1100;
 
 /// Static fetches only, so the SoA device memoizes its replay.
@@ -320,7 +276,6 @@ FragmentProgram heavy_static_program() {
 /// How a pass's span says it ran.
 struct SliceArgs {
   std::string replay;  ///< "full", "memo" or "" (cache model off)
-  double runners = 0;
   double slices = 0;
 };
 
@@ -344,14 +299,11 @@ std::vector<float4> slice_texels(int width, int height, int salt) {
   return data;
 }
 
-/// On a 24-pipe device with `threads` runners and a kSliceWidth x
-/// `height` viewport: light, heavy and heavy_static fullscreen; new
-/// texels, then heavy_static again (a memo hit on the SoA engine with the
-/// cache model on).
-SlicedRun run_slice_passes(std::size_t threads, ExecEngine engine,
-                          bool texture_cache, int height) {
+/// On a 24-pipe device and a kSliceWidth x `height` viewport: light,
+/// heavy and heavy_static fullscreen; new texels, then heavy_static again
+/// (a memo hit on the SoA engine with the cache model on).
+SlicedRun run_slice_passes(ExecEngine engine, bool texture_cache, int height) {
   SimConfig cfg;
-  cfg.worker_threads = threads;
   cfg.exec_engine = engine;
   cfg.texture_cache = texture_cache;
   Device dev(geforce_7800_gtx(), cfg);
@@ -385,7 +337,6 @@ SlicedRun run_slice_passes(std::size_t threads, ExecEngine engine,
     for (const trace::TraceArg& arg : e.args) {
       const std::string_view key(arg.key);
       if (key == "replay") args.replay = arg.str;
-      if (key == "runners") args.runners = arg.num;
       if (key == "slices") args.slices = arg.num;
     }
     run.spans.push_back(args);
@@ -395,60 +346,102 @@ SlicedRun run_slice_passes(std::size_t threads, ExecEngine engine,
 }
 
 TEST(Device, ResultsIndependentOfWorkerThreads) {
-  for (ExecEngine engine : {ExecEngine::Soa, ExecEngine::Interpreter}) {
-    const GrainRun base = run_grain_passes(1, engine);
-    for (std::size_t threads : {2, 3, 4, 7}) {
-      SCOPED_TRACE(testing::Message() << exec_engine_name(engine) << ", "
-                                      << threads << " worker threads");
-      const GrainRun run = run_grain_passes(threads, engine);
-      ASSERT_EQ(run.stats.size(), base.stats.size());
-      for (std::size_t p = 0; p < base.stats.size(); ++p) {
-        EXPECT_EQ(run.images[p], base.images[p]);
-        // Cache statistics are per *logical pipe*, so they match too.
-        expect_same_pass(run.stats[p], base.stats[p]);
+  // Pipe slices against one slice of all rows, on both engines, against
+  // the interpreter, which replays every pass when the cache model is on.
+  for (bool cache : {true, false}) {
+    for (int height : {1, 3, 17, 33}) {
+      const SlicedRun base = run_slice_passes(ExecEngine::Interpreter, cache, height);
+      for (ExecEngine engine : {ExecEngine::Soa, ExecEngine::Interpreter}) {
+        SCOPED_TRACE(testing::Message() << exec_engine_name(engine) << ", cache "
+                                        << cache << ", height " << height);
+        const SlicedRun run = run_slice_passes(engine, cache, height);
+        ASSERT_EQ(run.stats.size(), base.stats.size());
+        for (std::size_t p = 0; p < base.stats.size(); ++p) {
+          EXPECT_EQ(run.images[p], base.images[p]) << "pass " << p;
+          expect_same_pass(run.stats[p], base.stats[p]);
+        }
+#if HS_TRACE_ENABLED
+        ASSERT_EQ(run.spans.size(), base.stats.size());
+        for (std::size_t p = 0; p < run.spans.size(); ++p) {
+          SCOPED_TRACE(testing::Message() << "pass " << p);
+          EXPECT_EQ(run.spans[p].slices, run.spans[p].replay == "full" ? 24.0 : 1.0);
+        }
+        // The SoA engine serves the redraw over new texels from its memo.
+        const bool memo_hit = cache && engine == ExecEngine::Soa;
+        EXPECT_EQ(run.spans[3].replay, memo_hit ? "memo" : cache ? "full" : "");
+#endif
       }
     }
   }
 
-  // Row slices per runner against pipe slices, on both engines, against
-  // the interpreter on one runner.
-  for (bool cache : {true, false}) {
-    for (int height : {1, 3, 17, 33}) {
-      const SlicedRun base =
-          run_slice_passes(1, ExecEngine::Interpreter, cache, height);
-      for (ExecEngine engine : {ExecEngine::Soa, ExecEngine::Interpreter}) {
-        for (std::size_t threads : {1, 2, 3, 4, 7}) {
-          SCOPED_TRACE(testing::Message()
-                       << exec_engine_name(engine) << ", cache " << cache
-                       << ", height " << height << ", " << threads
-                       << " worker threads");
-          const SlicedRun run = run_slice_passes(threads, engine, cache, height);
-          ASSERT_EQ(run.stats.size(), base.stats.size());
-          for (std::size_t p = 0; p < base.stats.size(); ++p) {
-            EXPECT_EQ(run.images[p], base.images[p]) << "pass " << p;
-            expect_same_pass(run.stats[p], base.stats[p]);
-          }
-#if HS_TRACE_ENABLED
-          ASSERT_EQ(run.spans.size(), base.stats.size());
-          for (std::size_t p = 0; p < run.spans.size(); ++p) {
-            const SliceArgs& span = run.spans[p];
-            SCOPED_TRACE(testing::Message() << "pass " << p);
-            EXPECT_GE(span.runners, 1);
-            EXPECT_LE(span.runners, static_cast<double>(threads));
-            EXPECT_EQ(span.slices, span.replay == "full" ? 24.0 : span.runners);
-          }
-          // The SoA engine serves the redraw over new texels from its memo.
-          const bool memo_hit = cache && engine == ExecEngine::Soa;
-          EXPECT_EQ(run.spans[3].replay, memo_hit ? "memo" : cache ? "full" : "");
-          // One row of heavy_static already takes two runners.
-          if (threads > 1) {
-            EXPECT_GE(run.spans[2].runners, 2);
-          }
-#endif
-        }
-      }
+  // One engine, one texel set: the replaying draw (24 slices) and a memo
+  // hit (one slice) give the same texels and PassStats.
+  for (int height : {1, 17}) {
+    SCOPED_TRACE(testing::Message() << "height " << height);
+    const auto draw_on = [height](Device& dev, TextureHandle in, int salt) {
+      dev.upload(in, std::span<const float4>(slice_texels(kSliceWidth, height, salt)));
+      const TextureHandle out =
+          dev.create_texture(kSliceWidth, height, TextureFormat::RGBA32F);
+      const TextureHandle ins[1] = {in};
+      const TextureHandle outs[1] = {out};
+      const PassStats stats = dev.draw(heavy_static_program(), ins, {}, outs);
+      return std::make_pair(stats, dev.download(out));
+    };
+    Device replaying(geforce_7800_gtx());
+    Device memoized(geforce_7800_gtx());
+    const TextureHandle a =
+        replaying.create_texture(kSliceWidth, height, TextureFormat::RGBA32F);
+    const TextureHandle b =
+        memoized.create_texture(kSliceWidth, height, TextureFormat::RGBA32F);
+    const auto full = draw_on(replaying, a, 1);
+    draw_on(memoized, b, 0);
+    const auto hit = draw_on(memoized, b, 1);
+    EXPECT_EQ(replaying.replay_memo_misses(), 1u);
+    EXPECT_EQ(memoized.replay_memo_hits(), 1u);
+    EXPECT_EQ(hit.second, full.second);
+    expect_same_pass(hit.first, full.first);
+  }
+}
+
+TEST(Device, DrawStartsNoThreads) {
+  // Every pass runs on the thread that draws it.
+  const auto threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t before = threads();
+  ASSERT_GE(before, 1u);
+
+  Device dev(geforce_7800_gtx());
+  constexpr int n = 256;
+  std::vector<float4> offsets;
+  for (int dy = -1; dy <= 1; ++dy) {
+    for (int dx = -1; dx <= 1; ++dx) {
+      offsets.push_back({static_cast<float>(dx), static_cast<float>(dy), 0, 0});
     }
   }
+  const FragmentProgram cumdist = assemble_or_die(
+      "cumdist_fused", core::shaders::cumulative_distance_fused_source(9));
+  const TextureHandle norm = dev.create_texture(n, n, TextureFormat::RGBA32F);
+  const TextureHandle logs = dev.create_texture(n, n, TextureFormat::RGBA32F);
+  const TextureHandle acc = dev.create_texture(n, n, TextureFormat::R32F);
+  const TextureHandle out = dev.create_texture(n, n, TextureFormat::R32F);
+  dev.upload(norm, std::span<const float4>(slice_texels(n, n, 2)));
+  dev.upload(logs, std::span<const float4>(slice_texels(n, n, 3)));
+  const TextureHandle ins[3] = {norm, logs, acc};
+  const TextureHandle outs[1] = {out};
+  dev.draw(cumdist, ins, offsets, outs);
+  // Another replaying draw, of a program with a dependent fetch.
+  const TextureHandle heavy_out = dev.create_texture(n, n, TextureFormat::RGBA32F);
+  const TextureHandle heavy_ins[1] = {norm};
+  const TextureHandle heavy_outs[1] = {heavy_out};
+  dev.draw(heavy_program(), heavy_ins, {}, heavy_outs);
+  EXPECT_EQ(dev.replay_memo_misses(), 2u);
+  EXPECT_EQ(threads(), before);
 }
 
 TEST(Device, ReplayingPassSlicesAlignToCacheTiles) {
@@ -474,42 +467,6 @@ TEST(Device, ReplayingPassSlicesAlignToCacheTiles) {
       EXPECT_EQ(stats.cache_miss_bytes, stats.unique_tile_bytes);
     }
   }
-}
-
-TEST(Device, PassFansOutOnlyPastTheGrain) {
-  const GrainRun one = run_grain_passes(1, ExecEngine::Soa);
-  EXPECT_EQ(one.inline_passes, 2u);
-  EXPECT_EQ(one.fanned_out_passes, 0u);
-  // Light pass inline; the heavy pass fans out.
-  const GrainRun four = run_grain_passes(4, ExecEngine::Soa);
-  EXPECT_EQ(four.inline_passes, 1u);
-  EXPECT_EQ(four.fanned_out_passes, 1u);
-}
-
-TEST(Device, HelperThreadsStartOnTheFirstFanOut) {
-  SimConfig cfg;
-  cfg.worker_threads = 3;
-  Device dev(geforce_7800_gtx(), cfg);
-  EXPECT_EQ(dev.runners(), 3u);
-  EXPECT_EQ(dev.helper_threads(), 0u);
-  const int n = kGrainViewport;
-  const TextureHandle in = dev.create_texture(n, n, TextureFormat::RGBA32F);
-  const TextureHandle out = dev.create_texture(n, n, TextureFormat::RGBA32F);
-  const TextureHandle ins[1] = {in};
-  const TextureHandle outs[1] = {out};
-  dev.draw(light_program(), ins, {}, outs);
-  EXPECT_EQ(dev.helper_threads(), 0u);
-  dev.draw(heavy_program(), ins, {}, outs);
-  EXPECT_EQ(dev.helper_threads(), 2u);
-}
-
-TEST(Device, WorkerThreadsClampToPipes) {
-  SimConfig cfg;
-  cfg.worker_threads = 7;
-  EXPECT_EQ(Device(tiny_profile(), cfg).runners(), 4u);
-  cfg.worker_threads = 0;
-  EXPECT_GE(Device(tiny_profile(), cfg).runners(), 1u);
-  EXPECT_LE(Device(tiny_profile(), cfg).runners(), 4u);
 }
 
 TEST(Device, PassStatsAccumulateIntoTotals) {

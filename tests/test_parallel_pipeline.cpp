@@ -370,9 +370,6 @@ TEST(ParallelPipeline, WorkersClampAndAutoResolve) {
 
   EXPECT_GE(stream::resolve_workers(0), 1u);
   EXPECT_EQ(stream::resolve_workers(3), 3u);
-  EXPECT_EQ(stream::per_worker_device_threads(8, 4), 2u);
-  EXPECT_EQ(stream::per_worker_device_threads(2, 8), 1u);
-  EXPECT_EQ(stream::per_worker_device_threads(0, 0), 1u);
 }
 
 // ---- scheduler unit behavior ----------------------------------------------

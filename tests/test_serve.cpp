@@ -808,10 +808,13 @@ TEST(ServeServer, ConcurrentSubmittersAndWorkersStayConsistent) {
   std::vector<std::uint64_t> ids;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
+      // Appended, not `"c" + std::to_string(c)`: GCC 12 inlines that
+      // concatenation here and warns about it (a false -Wrestrict).
+      std::string tenant = "c";
+      tenant += std::to_string(c);
       for (int i = 0; i < kPerClient; ++i) {
-        JobSpec spec = small_spec(
-            JobKind::Morphology, "c" + std::to_string(c),
-            static_cast<Priority>((c + i) % 3));
+        JobSpec spec = small_spec(JobKind::Morphology, tenant,
+                                  static_cast<Priority>((c + i) % 3));
         spec.scene.width = 10;
         spec.scene.height = 10;
         spec.scene.bands = 8;

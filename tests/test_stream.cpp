@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpusim/assembler.hpp"
@@ -15,11 +16,13 @@
 namespace hs::stream {
 namespace {
 
+using gpusim::AddressMode;
 using gpusim::Device;
 using gpusim::DeviceProfile;
 using gpusim::float4;
 using gpusim::TextureFormat;
 using gpusim::TextureHandle;
+using gpusim::TransferStats;
 
 DeviceProfile test_profile() {
   DeviceProfile p = gpusim::geforce_7800_gtx();
@@ -114,6 +117,48 @@ TEST(BandStack, UploadIsIdenticalForEveryInterleave) {
   }
   EXPECT_EQ(groups[0], groups[2]);
   EXPECT_EQ(groups[1], groups[2]);
+}
+
+TEST(BandStack, UploadMatchesOneTexelUploadPerGroup) {
+  // The pixel-major stack upload against packing each group into float4
+  // texels and uploading them one texture at a time: the same texel bits
+  // (half quantization included), bytes, upload count and modeled time.
+  for (const TextureFormat format : {TextureFormat::RGBA32F, TextureFormat::RGBA16F}) {
+    for (const int bands : {4, 6, 7, 9}) {
+      SCOPED_TRACE(testing::Message() << bands << " bands, half "
+                                      << is_half_format(format));
+      constexpr int w = 5;
+      constexpr int h = 3;
+      std::vector<float> bip(static_cast<std::size_t>(w * h * bands));
+      for (std::size_t i = 0; i < bip.size(); ++i) {
+        bip[i] = 0.1f * static_cast<float>(i) + 1.f / 3.f;
+      }
+      Device stacked(test_profile());
+      BandStack stack(stacked, w, h, bands, AddressMode::ClampToEdge, format);
+      stack.upload(bip.data(), bands, w * bands, 1);
+
+      Device texelwise(test_profile());
+      for (int g = 0; g < stack.groups(); ++g) {
+        std::vector<float4> texels(w * h, float4(0.f));
+        for (int p = 0; p < w * h; ++p) {
+          for (int c = 0; c < 4 && 4 * g + c < bands; ++c) {
+            texels[static_cast<std::size_t>(p)][static_cast<std::size_t>(c)] =
+                bip[static_cast<std::size_t>(p * bands + 4 * g + c)];
+          }
+        }
+        const TextureHandle t = texelwise.create_texture(w, h, format);
+        texelwise.upload(t, std::span<const float4>(texels));
+        EXPECT_EQ(std::as_const(stacked).texture(stack.group(g)).raw(),
+                  std::as_const(texelwise).texture(t).raw())
+            << "group " << g;
+      }
+      const TransferStats& a = stacked.totals().transfer;
+      const TransferStats& b = texelwise.totals().transfer;
+      EXPECT_EQ(a.upload_bytes, b.upload_bytes);
+      EXPECT_EQ(a.uploads, b.uploads);
+      EXPECT_EQ(a.modeled_upload_seconds, b.modeled_upload_seconds);
+    }
+  }
 }
 
 TEST(PingPong, SwapAlternatesRoles) {

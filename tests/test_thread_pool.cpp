@@ -87,12 +87,6 @@ TEST(ThreadPool, SequentialCallsCompose) {
   EXPECT_EQ(total.load(), 320);
 }
 
-TEST(ThreadPool, ClampToHardwareIsAtLeastOne) {
-  EXPECT_GE(ThreadPool::clamp_to_hardware(16), 1u);
-  EXPECT_LE(ThreadPool::clamp_to_hardware(1), 1u);
-  EXPECT_EQ(ThreadPool::clamp_to_hardware(0), 0u);
-}
-
 // ---- concurrency stress ----------------------------------------------------
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge check: fail on any src/ header that only tests include;
-# build and test the Release configuration, an ASan/UBSan-instrumented
+# build the Release configuration from clean, failing on any compiler
+# warning, and test it; build and test an ASan/UBSan-instrumented
 # configuration, a TSan configuration running the concurrency suite
 # (TSan and ASan are mutually exclusive, hence the separate build dir),
 # and a tracing-disabled (HS_TRACE=OFF) configuration; then smoke-test
@@ -24,6 +25,20 @@ run_config() {
   cmake -B "$dir" -S . "$@"
   cmake --build "$dir" -j "$JOBS"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" "${CTEST_ARGS[@]}"
+}
+
+# Configures and builds from clean, so that the log holds the compiler
+# output of every file (an incremental build prints only what it rebuilt),
+# then fails on any warning in it.
+build_without_warnings() {
+  local dir="$1"
+  shift
+  cmake -B "$dir" -S . "$@"
+  cmake --build "$dir" -j "$JOBS" --clean-first 2>&1 | tee "$dir/build.log"
+  if grep 'warning:' "$dir/build.log" >&2; then
+    echo "the $dir build printed the warnings above" >&2
+    return 1
+  fi
 }
 
 # Runs hsi-profile from the given build dir on a small synthetic scene and
@@ -246,7 +261,8 @@ echo "==> Headers"
 check_headers
 
 echo "==> Release"
-run_config build-release -DCMAKE_BUILD_TYPE=Release
+build_without_warnings build-release -DCMAKE_BUILD_TYPE=Release
+ctest --test-dir build-release --output-on-failure -j "$JOBS" "${CTEST_ARGS[@]}"
 # The soak battery again, explicitly by label: per-request memory growth
 # of a long-running front door must fail the check even when extra ctest
 # args filtered the soak tests out of the run above. Its RSS bound only
@@ -274,9 +290,9 @@ echo "==> SoA engine (two-way fuzz oracle + parallel determinism, ASan/UBSan)"
 # replay memo's keys and for static fetches in fused loops; the
 # ParallelPipeline.Soa* tests pin the SoA engine to the
 # sequential interpreter across worker counts {1,2,4,7}; the Device tests
-# drive one device's pipe runners at {1,2,3,4,7} on both sides of the
-# dispatch grain, in pipe slices and in runner slices; the BandStack tests
-# cover the strided band upload; the Xoshiro256 and SyntheticScene tests
+# draw in pipe slices and in one slice of all rows, with the cache model
+# on and off; the BandStack tests cover the strided pixel-major band
+# upload; the Xoshiro256 and SyntheticScene tests
 # cover the batched normal draws, which fill fixed-size stack arrays; the
 # Chunker tests and AmcGpu.BitIdentical (a scene wider than the texture
 # limit) cover the chunk planner's tile sizing against that limit.
@@ -289,8 +305,9 @@ ctest --test-dir build-sanitize --output-on-failure \
 
 echo "==> ThreadSanitizer (concurrency suite)"
 # TSan slows execution ~10x, so run the tests that exercise real
-# concurrency: one device's pipe runners (Device.*), the band uploads
-# that feed them (BandStack), the replay memo and static fusion oracles
+# concurrency: the device and band-upload tests (Device.*, BandStack;
+# single-threaded since a pass runs on its drawing thread, kept so that a
+# draw that starts threads again runs under TSan), the replay memo and static fusion oracles
 # (ReplayMemo, SoaStaticFusion: multi-pipe draws), the chunk-parallel pipeline/scheduler
 # determinism suite, the serving-layer suite (worker threads + concurrent
 # clients), the
