@@ -446,14 +446,14 @@ AmcGpuReport morphology_gpu(const hsi::HyperCube& cube,
     }
   };
 
-  stream::ChunkScheduler scheduler(workers);
-  scheduler.run(plan.chunks.size(), [&](std::size_t worker, std::size_t chunk) {
-    if (options.cancel_check && options.cancel_check()) {
-      throw PipelineCancelled("amc_gpu cancelled before chunk " +
-                              std::to_string(chunk));
-    }
-    run_chunk(*devices[worker], chunk);
-  });
+  stream::run_chunks(
+      workers, plan.chunks.size(), [&](std::size_t worker, std::size_t chunk) {
+        if (options.cancel_check && options.cancel_check()) {
+          throw PipelineCancelled("amc_gpu cancelled before chunk " +
+                                  std::to_string(chunk));
+        }
+        run_chunk(*devices[worker], chunk);
+      });
 
   // ---- ordered reduction ---------------------------------------------------
   // Chunk-index order, regardless of which worker ran what when: the

@@ -298,14 +298,14 @@ GpuUnmixReport unmix_gpu(const hsi::HyperCube& cube,
     chunk_totals[chunk_index] = device.totals();
   };
 
-  stream::ChunkScheduler scheduler(workers);
-  scheduler.run(plan.chunks.size(), [&](std::size_t worker, std::size_t chunk) {
-    if (options.cancel_check && options.cancel_check()) {
-      throw PipelineCancelled("unmix_gpu cancelled before chunk " +
-                              std::to_string(chunk));
-    }
-    run_chunk(*devices[worker], chunk);
-  });
+  stream::run_chunks(
+      workers, plan.chunks.size(), [&](std::size_t worker, std::size_t chunk) {
+        if (options.cancel_check && options.cancel_check()) {
+          throw PipelineCancelled("unmix_gpu cancelled before chunk " +
+                                  std::to_string(chunk));
+        }
+        run_chunk(*devices[worker], chunk);
+      });
 
   // Ordered reduction: chunk-index order regardless of execution order.
   for (const gpusim::DeviceTotals& totals : chunk_totals) {

@@ -4,7 +4,7 @@
 // priority-aware JobQueue of pipeline requests (job.hpp). Each worker
 // executes one job at a time by calling the chunk-parallel GPU pipelines
 // (core::morphology_gpu / core::unmix_gpu), which internally fan chunks
-// out over stream::ChunkScheduler with per-worker simulated-device clones
+// out over stream::run_chunks with per-worker simulated-device clones
 // -- the serving layer adds *between-job* concurrency on top of the
 // *within-job* chunk parallelism of PR 3.
 //

@@ -1,7 +1,6 @@
 #include "stream/executor.hpp"
 
 #include <chrono>
-#include <utility>
 
 #include "trace/histogram.hpp"
 
@@ -37,7 +36,6 @@ gpusim::PassStats StreamExecutor::run(
     s.bytes_written += pass.bytes_written;
     s.modeled_seconds += pass.modeled_seconds;
     stage_total = s.modeled_seconds;
-    passes_contributed_ += 1;
   }
   passes_counter_->increment();
   stage_seconds_gauge_->set(stage_total);
@@ -47,19 +45,6 @@ gpusim::PassStats StreamExecutor::run(
 void StreamExecutor::add_stage_time(const std::string& stage_name, double seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   stage_locked(stage_name).modeled_seconds += seconds;
-}
-
-void StreamExecutor::reset() {
-  std::uint64_t retract = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stages_.clear();
-    order_.clear();
-    retract = std::exchange(passes_contributed_, 0);
-  }
-  // Retract only our own passes from the shared counter; a concurrent
-  // executor's contribution must survive our reset.
-  passes_counter_->add(-static_cast<std::int64_t>(retract));
 }
 
 StageStats& StreamExecutor::stage_locked(const std::string& name) {

@@ -47,14 +47,14 @@ struct StageStats {
 /// concurrently -- the per-stage aggregate is guarded, so no update is
 /// lost. Note the underlying Device is NOT itself thread-safe; concurrent
 /// callers must target distinct devices or serialize draws themselves.
+/// The aggregates cover the executor's whole life; the chunked pipelines
+/// build a fresh executor per chunk.
 class StreamExecutor {
  public:
   explicit StreamExecutor(gpusim::Device& device)
       : device_(&device),
         passes_counter_(&trace::counter("stream.executor.passes")),
         stage_seconds_gauge_(&trace::gauge("stream.executor.stage_seconds")) {}
-
-  gpusim::Device& device() { return *device_; }
 
   /// Runs one pass attributed to `stage`. Emits a `stage_pass` trace span
   /// wrapping the device draw, carrying the stage attribution.
@@ -74,24 +74,13 @@ class StreamExecutor {
   /// Stage names in first-use order (std::map iteration is alphabetical).
   const std::vector<std::string>& stage_order() const { return order_; }
 
-  /// Clears the per-stage aggregates and retracts this executor's own
-  /// contribution from the process-global `stream.executor.passes`
-  /// counter. Other executors' recorded passes are untouched, so two
-  /// executors on different threads never cross-contaminate the counter
-  /// (it used to be zeroed outright, erasing concurrent executors'
-  /// history). The `stage_seconds` gauge is last-write-wins telemetry and
-  /// is deliberately left alone: overwriting it with 0 here would clobber
-  /// another executor's most recent reading.
-  void reset();
-
  private:
   StageStats& stage_locked(const std::string& name);
 
   gpusim::Device* device_;
-  mutable std::mutex mutex_;  ///< guards stages_, order_ and passes_contributed_
+  mutable std::mutex mutex_;  ///< guards stages_ and order_
   std::map<std::string, StageStats> stages_;
   std::vector<std::string> order_;
-  std::uint64_t passes_contributed_ = 0;  ///< our share of the global counter
   trace::Counter* passes_counter_;
   trace::Gauge* stage_seconds_gauge_;
 };

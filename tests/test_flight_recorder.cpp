@@ -5,11 +5,11 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/json_check.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hs::trace {
 namespace {
@@ -76,12 +76,15 @@ TEST(FlightRecorder, PerThreadRingsMergeTimeSorted) {
   reset_flight_recorder();
   constexpr std::size_t kThreads = 4;
   constexpr int kPer = 50;
-  util::ThreadPool pool(kThreads);
-  pool.parallel_for(kThreads, [&](std::size_t t) {
-    for (int i = 0; i < kPer; ++i) {
-      flight_event("mt", static_cast<std::int64_t>(t), i);
-    }
-  });
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < kPer; ++i) {
+        flight_event("mt", static_cast<std::int64_t>(t), i);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
   const auto events = flight_snapshot();
   ASSERT_EQ(events.size(), kThreads * kPer);
   for (std::size_t i = 1; i < events.size(); ++i) {

@@ -5,10 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hs::trace {
 namespace {
@@ -113,12 +113,15 @@ TEST(Histogram, ConcurrentRecordsAreAllCounted) {
   Histogram h;
   constexpr std::size_t kThreads = 8;
   constexpr int kIters = 4000;
-  util::ThreadPool pool(kThreads);
-  pool.parallel_for(kThreads, [&](std::size_t t) {
-    for (int i = 0; i < kIters; ++i) {
-      h.record(1e-6 * static_cast<double>(1 + (t * kIters + i) % 1000));
-    }
-  });
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, t] {
+      for (int i = 0; i < kIters; ++i) {
+        h.record(1e-6 * static_cast<double>(1 + (t * kIters + i) % 1000));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
   const HistogramSnapshot snap = h.snapshot();
   EXPECT_EQ(snap.count, kThreads * kIters);
   EXPECT_EQ(snap.min, 1e-6);

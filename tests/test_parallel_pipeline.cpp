@@ -1,4 +1,4 @@
-// Chunk-parallel determinism suite: the scheduler may execute chunks in
+// Chunk-parallel determinism suite: the workers may execute chunks in
 // any order on any worker, yet every functional output, counter and
 // modeled time must be bit-identical to the sequential (workers = 1) run.
 // Worker counts include 7 -- deliberately not a divisor of the chunk
@@ -9,10 +9,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <filesystem>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/amc.hpp"
 #include "core/amc_gpu.hpp"
@@ -375,11 +380,9 @@ TEST(ParallelPipeline, WorkersClampAndAutoResolve) {
 // ---- scheduler unit behavior ----------------------------------------------
 
 TEST(ChunkScheduler, RunsEveryChunkExactlyOnceWithValidWorkerIds) {
-  stream::ChunkScheduler scheduler(4);
-  EXPECT_EQ(scheduler.workers(), 4u);
   constexpr std::size_t kChunks = 103;
   std::vector<std::atomic<int>> seen(kChunks);
-  scheduler.run(kChunks, [&](std::size_t worker, std::size_t chunk) {
+  stream::run_chunks(4, kChunks, [&](std::size_t worker, std::size_t chunk) {
     ASSERT_LT(worker, 4u);
     ASSERT_LT(chunk, kChunks);
     seen[chunk].fetch_add(1);
@@ -390,10 +393,11 @@ TEST(ChunkScheduler, RunsEveryChunkExactlyOnceWithValidWorkerIds) {
 }
 
 TEST(ChunkScheduler, SingleWorkerRunsInIndexOrderInline) {
-  stream::ChunkScheduler scheduler(1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  scheduler.run(9, [&](std::size_t worker, std::size_t chunk) {
+  stream::run_chunks(1, 9, [&](std::size_t worker, std::size_t chunk) {
     EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(chunk);
   });
   ASSERT_EQ(order.size(), 9u);
@@ -401,91 +405,156 @@ TEST(ChunkScheduler, SingleWorkerRunsInIndexOrderInline) {
 }
 
 TEST(ChunkScheduler, PropagatesJobExceptionAndStopsIssuingChunks) {
-  stream::ChunkScheduler scheduler(3);
   std::atomic<int> started{0};
   std::atomic<bool> throwing{false};
   EXPECT_THROW(
-      scheduler.run(1000,
-                    [&](std::size_t, std::size_t chunk) {
-                      started.fetch_add(1);
-                      if (chunk == 5) {
-                        throwing.store(true);
-                        throw std::runtime_error("chunk blew up");
-                      }
-                      // Later chunks wait for the throw and then hold for
-                      // a millisecond. To issue every chunk, the other two
-                      // workers would need chunk 5's worker descheduled
-                      // for about half a second between its throw and the
-                      // scheduler's failure flag.
-                      if (chunk > 5) {
-                        while (!throwing.load()) std::this_thread::yield();
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(1));
-                      }
-                    }),
+      stream::run_chunks(3, 1000,
+                         [&](std::size_t, std::size_t chunk) {
+                           started.fetch_add(1);
+                           if (chunk == 5) {
+                             throwing.store(true);
+                             throw std::runtime_error("chunk blew up");
+                           }
+                           // Later chunks wait for the throw and then hold
+                           // for a millisecond. To issue every chunk, the
+                           // other two workers would need chunk 5's worker
+                           // descheduled for about half a second between
+                           // its throw and the failure flag.
+                           if (chunk > 5) {
+                             while (!throwing.load()) std::this_thread::yield();
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(1));
+                           }
+                         }),
       std::runtime_error);
   // The failure flag stops new chunks; far fewer than all 1000 ran.
   EXPECT_LT(started.load(), 1000);
 }
 
 TEST(ChunkScheduler, ZeroChunksIsANoOp) {
-  stream::ChunkScheduler scheduler(4);
   bool ran = false;
-  scheduler.run(0, [&](std::size_t, std::size_t) { ran = true; });
+  stream::run_chunks(4, 0, [&](std::size_t, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ChunkScheduler, MoreWorkersThanChunks) {
-  stream::ChunkScheduler scheduler(8);
   std::vector<std::atomic<int>> seen(3);
-  scheduler.run(3, [&](std::size_t worker, std::size_t chunk) {
-    ASSERT_LT(worker, 8u);
+  stream::run_chunks(8, 3, [&](std::size_t worker, std::size_t chunk) {
+    ASSERT_LT(worker, 3u) << "one thread per chunk at most";
     seen[chunk].fetch_add(1);
   });
   for (auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
 TEST(ChunkScheduler, ZeroChunksIsANoOpForEveryWorkerCount) {
-  for (std::size_t workers : {1u, 2u, 16u}) {
-    stream::ChunkScheduler scheduler(workers);
+  for (std::size_t workers : {0u, 1u, 2u, 16u}) {
     bool ran = false;
-    scheduler.run(0, [&](std::size_t, std::size_t) { ran = true; });
+    stream::run_chunks(workers, 0, [&](std::size_t, std::size_t) { ran = true; });
     EXPECT_FALSE(ran) << workers << " workers";
   }
 }
 
 TEST(ChunkScheduler, ReusableAcrossRunsIncludingAfterAnException) {
-  stream::ChunkScheduler scheduler(3);
   std::atomic<int> count{0};
-  scheduler.run(5, [&](std::size_t, std::size_t) { count.fetch_add(1); });
+  stream::run_chunks(3, 5, [&](std::size_t, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 5);
 
-  EXPECT_THROW(scheduler.run(4,
-                             [&](std::size_t, std::size_t chunk) {
-                               if (chunk == 0) throw std::runtime_error("boom");
-                             }),
+  EXPECT_THROW(stream::run_chunks(3, 4,
+                                  [&](std::size_t, std::size_t chunk) {
+                                    if (chunk == 0) {
+                                      throw std::runtime_error("boom");
+                                    }
+                                  }),
                std::runtime_error);
 
-  // The pool survives a failed run: the next run still covers every chunk.
+  // A failed run leaves nothing behind: the next run still covers every
+  // chunk.
   count.store(0);
-  scheduler.run(7, [&](std::size_t, std::size_t) { count.fetch_add(1); });
+  stream::run_chunks(3, 7, [&](std::size_t, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 7);
 }
 
 TEST(ChunkScheduler, WorkersFarBeyondHardwareStillCoverEveryChunkOnce) {
-  // More workers than any host has cores: the pool multiplexes the worker
-  // slots onto fewer OS threads, but slot-exclusivity (at most one thread
-  // per worker id at a time) and exactly-once chunk coverage must hold.
-  stream::ChunkScheduler scheduler(32);
+  // More workers than any host has cores: a run starts one thread per
+  // chunk, beyond the core count, yet slot-exclusivity (one thread per
+  // worker id) and exactly-once chunk coverage must hold.
   constexpr std::size_t kChunks = 19;
   std::vector<std::atomic<int>> seen(kChunks);
   std::vector<std::atomic<int>> active(32);
-  scheduler.run(kChunks, [&](std::size_t worker, std::size_t chunk) {
+  stream::run_chunks(32, kChunks, [&](std::size_t worker, std::size_t chunk) {
     EXPECT_EQ(active[worker].fetch_add(1), 0) << "worker slot shared";
     seen[chunk].fetch_add(1);
     active[worker].fetch_sub(1);
   });
   for (std::size_t i = 0; i < kChunks; ++i) EXPECT_EQ(seen[i].load(), 1);
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Polls until `done()` holds or ten seconds pass, so a condition that
+/// never comes true fails the test instead of hanging it.
+template <typename Done>
+void wait_until(Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+TEST(ChunkScheduler, StartsOneThreadPerExtraWorker) {
+  // Worker 0 is the caller; each further worker is one thread, started for
+  // the run and joined before it returns. A sanitizer runtime (TSan) starts
+  // a background thread of its own at the first thread creation, so start
+  // and join one thread (and let the kernel reap it) before taking the
+  // baseline.
+  pid_t warm_tid = 0;
+  std::thread([&warm_tid] { warm_tid = ::gettid(); }).join();
+  const std::string warm_task = "/proc/self/task/" + std::to_string(warm_tid);
+  wait_until([&] { return !std::filesystem::exists(warm_task); });
+  const std::size_t before = live_threads();
+  ASSERT_GE(before, 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+
+  constexpr std::size_t kWorkers = 4;
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> counted{0};
+  std::mutex mutex;
+  std::vector<std::size_t> counts;
+  std::set<std::thread::id> ids;
+  stream::run_chunks(kWorkers, kWorkers, [&](std::size_t, std::size_t) {
+    // Every job counts while all four are running, and none finishes (so
+    // none of the threads exits) before all have counted.
+    started.fetch_add(1);
+    wait_until([&] { return started.load() == kWorkers; });
+    const std::size_t n = live_threads();
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      counts.push_back(n);
+      ids.insert(std::this_thread::get_id());
+    }
+    counted.fetch_add(1);
+    wait_until([&] { return counted.load() == kWorkers; });
+  });
+  ASSERT_EQ(counts.size(), kWorkers);
+  for (const std::size_t n : counts) EXPECT_EQ(n, before + kWorkers - 1);
+  EXPECT_EQ(ids.size(), kWorkers);
+  EXPECT_EQ(ids.count(caller), 1u);
+  // A joined thread can stay listed for a moment while the kernel reaps it.
+  wait_until([&] { return live_threads() <= before; });
+  EXPECT_EQ(live_threads(), before);
+
+  // One worker starts no thread: the caller runs every chunk.
+  stream::run_chunks(1, kWorkers, [&](std::size_t, std::size_t) {
+    EXPECT_EQ(live_threads(), before);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
 }
 
 TEST(ParallelPipeline, MoreWorkersThanChunksBitIdenticalToSequential) {

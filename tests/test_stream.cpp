@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -11,7 +12,6 @@
 #include "hsi/cube.hpp"
 #include "stream/executor.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hs::stream {
 namespace {
@@ -202,57 +202,10 @@ TEST(StreamExecutor, StageOrderIsFirstUse) {
   EXPECT_DOUBLE_EQ(exec.stages().at("zz_first").modeled_seconds, 0.4);
 }
 
-TEST(StreamExecutor, ResetClearsEverything) {
-  Device dev(test_profile());
-  StreamExecutor exec(dev);
-  exec.add_stage_time("s", 1.0);
-  exec.reset();
-  EXPECT_TRUE(exec.stages().empty());
-  EXPECT_TRUE(exec.stage_order().empty());
-}
-
-// Reads the process-global trace counter registry, which the HS_TRACE=OFF
-// configuration compiles down to inert stubs.
-#if HS_TRACE_ENABLED
-
-TEST(StreamExecutor, ResetRetractsOnlyOwnPassesFromGlobalCounter) {
-  // Two executors share the process-global stream.executor.passes counter.
-  // Resetting one must subtract only its own contribution, never another
-  // executor's (reset() used to zero the counter outright).
-  trace::Counter& passes = trace::counter("stream.executor.passes");
-  const auto clear =
-      gpusim::assemble_or_die("clear", "!!HSFP1.0\nMOV result.color, {0.0};\nEND\n");
-
-  Device dev_a(test_profile());
-  Device dev_b(test_profile());
-  StreamExecutor exec_a(dev_a);
-  StreamExecutor exec_b(dev_b);
-  const TextureHandle out_a = dev_a.create_texture(4, 4, TextureFormat::R32F);
-  const TextureHandle out_b = dev_b.create_texture(4, 4, TextureFormat::R32F);
-  const TextureHandle outs_a[1] = {out_a};
-  const TextureHandle outs_b[1] = {out_b};
-
-  const std::int64_t start = passes.value();
-  exec_a.run("s", clear, {}, {}, outs_a);
-  exec_a.run("s", clear, {}, {}, outs_a);
-  exec_b.run("s", clear, {}, {}, outs_b);
-  EXPECT_EQ(passes.value() - start, 3);
-
-  exec_a.reset();
-  EXPECT_EQ(passes.value() - start, 1) << "B's pass must survive A's reset";
-  exec_b.reset();
-  EXPECT_EQ(passes.value() - start, 0);
-  // A second reset retracts nothing further.
-  exec_a.reset();
-  EXPECT_EQ(passes.value() - start, 0);
-}
-
-#endif  // HS_TRACE_ENABLED
-
 TEST(StreamExecutor, ConcurrentExecutorsDoNotCrossContaminate) {
-  // One executor per thread, each hammering run() and add_stage_time()
-  // with interleaved reset(): per-executor aggregates and the shared
-  // counter must both come out exact.
+  // One device and executor per thread, each hammering run() and
+  // add_stage_time(): per-executor aggregates and the shared counter must
+  // both come out exact.
   const auto clear =
       gpusim::assemble_or_die("clear", "!!HSFP1.0\nMOV result.color, {0.0};\nEND\n");
   trace::Counter& passes = trace::counter("stream.executor.passes");
@@ -261,29 +214,35 @@ TEST(StreamExecutor, ConcurrentExecutorsDoNotCrossContaminate) {
   constexpr std::size_t kThreads = 4;
   constexpr int kRounds = 8;
   constexpr int kPassesPerRound = 5;
-  util::ThreadPool pool(kThreads);
-  pool.parallel_for(kThreads, [&](std::size_t t) {
-    Device dev(test_profile());
-    StreamExecutor exec(dev);
-    const TextureHandle out = dev.create_texture(4, 4, TextureFormat::R32F);
-    const TextureHandle outs[1] = {out};
-    const std::string stage = "stage_" + std::to_string(t);
-    for (int round = 0; round < kRounds; ++round) {
-      exec.reset();
-      for (int i = 0; i < kPassesPerRound; ++i) {
-        exec.run(stage, clear, {}, {}, outs);
-        exec.add_stage_time(stage, 0.25);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Device dev(test_profile());
+      StreamExecutor exec(dev);
+      const TextureHandle out = dev.create_texture(4, 4, TextureFormat::R32F);
+      const TextureHandle outs[1] = {out};
+      const std::string stage = "stage_" + std::to_string(t);
+      for (int round = 1; round <= kRounds; ++round) {
+        for (int i = 0; i < kPassesPerRound; ++i) {
+          exec.run(stage, clear, {}, {}, outs);
+          exec.add_stage_time(stage, 0.25);
+        }
+        // Snapshot taken between this thread's own calls: exact values.
+        const auto done = static_cast<std::uint64_t>(round * kPassesPerRound);
+        ASSERT_EQ(exec.stage_order().size(), 1u);
+        ASSERT_EQ(exec.stages().at(stage).passes, done);
+        ASSERT_EQ(exec.stages().at(stage).fragments, done * 16);
       }
-      // Snapshot taken between this thread's own calls: exact values.
-      ASSERT_EQ(exec.stages().at(stage).passes,
-                static_cast<std::uint64_t>(kPassesPerRound));
-      ASSERT_EQ(exec.stage_order().size(), 1u);
-    }
-    exec.reset();
-  });
+    });
+  }
+  for (std::thread& t : threads) t.join();
 
-  // Every executor retracted everything it contributed.
+#if HS_TRACE_ENABLED
+  EXPECT_EQ(passes.value() - start,
+            static_cast<std::int64_t>(kThreads) * kRounds * kPassesPerRound);
+#else
   EXPECT_EQ(passes.value() - start, 0);
+#endif
 }
 
 }  // namespace

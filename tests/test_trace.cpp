@@ -9,12 +9,13 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "trace/histogram.hpp"
 #include "trace/json_check.hpp"
 #include "trace/snapshot.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hs::trace {
 namespace {
@@ -98,16 +99,22 @@ TEST(Trace, RuntimeDisableIsNoOp) {
   EXPECT_EQ(event_count(), 1u);
 }
 
-TEST(Trace, ThreadSafetyUnderThreadPool) {
+TEST(Trace, ThreadSafetyAcrossThreads) {
   reset();
   set_enabled(true);
+  constexpr std::size_t kThreads = 4;
   constexpr std::size_t kIters = 256;
-  util::ThreadPool pool(4);
-  pool.parallel_for(kIters, [](std::size_t) {
-    Span outer("work", "mt");
-    Span inner("inner", "mt");
-    inner.arg("x", 1.0);
-  });
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (std::size_t i = 0; i < kIters / kThreads; ++i) {
+        Span outer("work", "mt");
+        Span inner("inner", "mt");
+        inner.arg("x", 1.0);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
   set_enabled(false);
 
   const auto events = snapshot();
@@ -133,17 +140,20 @@ TEST(Trace, ConcurrentCounterAndRegistryStress) {
   constexpr int kIters = 2000;
   Counter& shared = counter("stress.shared");
   Gauge& g = gauge("stress.gauge");
-  util::ThreadPool pool(kThreads);
-  pool.parallel_for(kThreads, [&](std::size_t t) {
-    for (int i = 0; i < kIters; ++i) {
-      // Registry lookup under contention must return the same instance.
-      Counter& c = counter("stress.shared");
-      ASSERT_EQ(&c, &shared);
-      c.increment();
-      counter("stress.thread." + std::to_string(t)).increment();
-      g.set(static_cast<double>(i));
-    }
-  });
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        // Registry lookup under contention must return the same instance.
+        Counter& c = counter("stress.shared");
+        ASSERT_EQ(&c, &shared);
+        c.increment();
+        counter("stress.thread." + std::to_string(t)).increment();
+        g.set(static_cast<double>(i));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
   EXPECT_EQ(shared.value(), static_cast<std::int64_t>(kThreads) * kIters);
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(counter("stress.thread." + std::to_string(t)).value(), kIters);
@@ -151,20 +161,23 @@ TEST(Trace, ConcurrentCounterAndRegistryStress) {
 }
 
 TEST(Trace, ConcurrentSpansFromTaskGroupAllRecorded) {
-  // Spans opened and closed by fire-and-forget style tasks across a
-  // TaskGroup: every span completes on its own thread and none is lost.
+  // Spans opened and closed by a group of short-lived tasks, one thread
+  // each and four at a time: every span completes on its own thread, and
+  // none is lost when that thread exits.
   reset();
   set_enabled(true);
   constexpr int kTasks = 300;
-  util::ThreadPool pool(4);
-  util::TaskGroup group(pool);
-  for (int i = 0; i < kTasks; ++i) {
-    group.submit([] {
-      Span span("task", "group");
-      span.arg("payload", 1.0);
-    });
+  constexpr int kGroup = 4;
+  for (int i = 0; i < kTasks; i += kGroup) {
+    std::vector<std::thread> group;
+    for (int j = i; j < std::min(i + kGroup, kTasks); ++j) {
+      group.emplace_back([] {
+        Span span("task", "group");
+        span.arg("payload", 1.0);
+      });
+    }
+    for (std::thread& t : group) t.join();
   }
-  group.wait();
   set_enabled(false);
   const auto events = snapshot();
   std::size_t task_spans = 0;

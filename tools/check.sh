@@ -312,15 +312,14 @@ echo "==> ThreadSanitizer (concurrency suite)"
 # determinism suite, the serving-layer suite (worker threads + concurrent
 # clients), the
 # caching layer (LRU eviction under contention, the shared program store,
-# the server result cache), the thread-pool/task-group stress tests, the
-# executor cross-contamination tests, the multithreaded trace,
-# histogram-shard and flight-recorder-ring tests, and the TCP front door
+# the server result cache), the executor cross-contamination tests, the
+# multithreaded trace, histogram-shard and flight-recorder-ring tests, and the TCP front door
 # battery (event loop vs serve worker hooks, concurrent socket clients).
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHS_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Device\.|BandStack|ParallelPipeline|ChunkScheduler|ProgramFuzz|ReplayMemo|SoaStaticFusion|Serve|Cache|ThreadPool|TaskGroup|StreamExecutor|Trace\.|Histogram|FlightRecorder|Timeline|Net' \
+  -R 'Device\.|BandStack|ParallelPipeline|ChunkScheduler|ProgramFuzz|ReplayMemo|SoaStaticFusion|Serve|Cache|StreamExecutor|Trace\.|Histogram|FlightRecorder|Timeline|Net' \
   -j "$JOBS" "${CTEST_ARGS[@]}"
 # The sharded tier under TSan: the router's event-loop thread vs
 # submit/wait/kill callers, with real worker processes behind it.
